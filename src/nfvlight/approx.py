@@ -308,21 +308,22 @@ def build_milp(
         for g in gammas:
             l_tab[(w, wp, g)] = m.add_var(naming.l_wa_name(w, wp, g), "l", binary=True)
 
-    # aggregate load expression per ordered pair, reused in several rows
+    # aggregate load expression per ordered pair; tuples, because rows share them
     def load_terms(w: str, wp: str, skip_degenerate: bool):
-        terms = []
-        for ri, req in enumerate(scn.requests):
-            for a in req.graph.arcs:
-                for v in V:
-                    for vp in V:
-                        if skip_degenerate and v == vp:
-                            continue
-                        terms.append((1.0, ctx.lam[(ri, a, v, vp, w, wp)]))
-        return terms
+        return tuple(
+            (1.0, ctx.lam[(ri, a, v, vp, w, wp)])
+            for ri, req in enumerate(scn.requests)
+            for a in req.graph.arcs
+            for v in V
+            for vp in V
+            if not (skip_degenerate and v == vp)
+        )
+
+    load = {(w, wp): load_terms(w, wp, skip_degenerate=False) for w in V for wp in V}
 
     for (w, wp) in pairs_ne:
         cap_terms = load_terms(w, wp, skip_degenerate=True)
-        cap_terms += [(-mu_bar, l_tab[(w, wp, g)]) for g in gammas]
+        cap_terms += tuple((-mu_bar, l_tab[(w, wp, g)]) for g in gammas)
         m.add_con(f"lightpath_capacity_{w}_{wp}", "lightpath_capacity", cap_terms, "<=", 0.0)
 
         m.add_con(
@@ -334,7 +335,7 @@ def build_milp(
         )
 
         margin = [(parts.forwarding.eps, l_tab[(w, wp, g)]) for g in gammas]
-        margin += load_terms(w, wp, skip_degenerate=False)
+        margin += load[(w, wp)]
         margin += [(-mu_bar, l_tab[(w, wp, g)]) for g in gammas]
         m.add_con(f"forwarding_margin_{w}_{wp}", "forwarding_margin", margin, "<=", 0.0)
 
@@ -453,7 +454,7 @@ def build_milp(
                                 0.0,
                             )
                             slack = [(fwd.knots[k], xi[k]) for k in range(fwd.K + 2)]
-                            slack += load_terms(w, wp, skip_degenerate=False)
+                            slack += load[(w, wp)]
                             m.add_con(
                                 f"forwarding_slack_{base}",
                                 "forwarding_slack",

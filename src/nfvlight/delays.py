@@ -151,13 +151,13 @@ def exact_path_delay(
             if hop not in view.established:
                 view.warnings.append(f"flow {key} rides a missing lightpath {hop}")
             slack = mu_bar - view.loads.get(hop, 0.0)
-            if slack <= 1e-12:
+            if not slack > 1e-12:  # a NaN slack cannot be shown stable either
                 return UNSTABLE
             total += view.psi.get(hop, 0.0) + 1.0 / slack
     for j in range(1, len(path) - 1):
         pkey = (ri, path[j], vtuple[j])
         slack = view.service.get(pkey, 0.0) - view.arrivals.get(pkey, 0.0)
-        if slack <= 1e-12:
+        if not slack > 1e-12:
             return UNSTABLE
         total += 1.0 / slack
     return total
@@ -220,23 +220,23 @@ class ValidationReport:
         def num(x):
             if x is None:
                 return None
-            return None if math.isinf(x) else x
+            return x if math.isfinite(x) else None
 
         payload = {
             "ok": self.ok,
             "model_kind": self.model_kind,
             "violations": [
-                {"name": v.name, "family": v.family, "amount": v.amount}
+                {"name": v.name, "family": v.family, "amount": num(v.amount)}
                 for v in self.violations
             ],
             "exact_lateness": {str(k): num(v) for k, v in self.exact_lateness.items()},
             "max_exact_lateness": num(self.max_exact_lateness),
-            "model_lateness": {str(k): v for k, v in self.model_lateness.items()},
-            "model_max_lateness": self.model_max_lateness,
+            "model_lateness": {str(k): num(v) for k, v in self.model_lateness.items()},
+            "model_max_lateness": num(self.model_max_lateness),
             "per_request_error": {str(k): num(v) for k, v in self.per_request_error.items()},
             "approximation_error": num(self.approximation_error),
             "unstable": self.unstable,
-            "model_objective": self.model_objective,
+            "model_objective": num(self.model_objective),
             "warnings": self.warnings,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -248,6 +248,11 @@ def validate(
     assignment: Assignment | dict[str, float],
     path_table: PathTable | None = None,
 ) -> ValidationReport:
+    """Re-check every model row at the assignment and re-time it with exact delays.
+
+    A NaN or infinite value is a ``non_finite`` violation, so a solution that
+    cannot be checked is never reported ``ok``.
+    """
     from . import naming
 
     raw = assignment.values if isinstance(assignment, Assignment) else dict(assignment)
@@ -260,6 +265,10 @@ def validate(
             violations.append(Violation(con.name, con.family, amt))
     for var in model.variables.values():
         val = values[var.name]
+        if not math.isfinite(val):
+            # nothing computed from this value can be trusted, whatever it gives
+            violations.append(Violation(var.name, "non_finite", math.inf))
+            continue
         gap = max(var.lb - val, (val - var.ub) if var.ub is not None else 0.0)
         if gap > _TOL:
             violations.append(Violation(var.name, "variable_bounds", gap))

@@ -3,7 +3,9 @@
 The container stores variables, linear and bilinear constraints, SOS2 groups
 and a linear objective.  Emission is canonical: entries are sorted by name,
 so two models with the same content produce byte-identical files regardless
-of insertion order.
+of insertion order.  In memory, bilinear terms keep the order the builder
+gave them; they are merged and sorted only when a canonical view is asked
+for, which LP emission does once per row.
 """
 from __future__ import annotations
 
@@ -40,7 +42,16 @@ class Constraint:
     lin: tuple[tuple[float, str], ...]
     sense: str  # "<=", ">=", "="
     rhs: float
-    quad: tuple[tuple[float, str, str], ...] = ()
+    bilinear: tuple[tuple[float, str, str], ...] = ()  # as given, unmerged
+
+    @property
+    def quad(self) -> tuple[tuple[float, str, str], ...]:
+        """Canonical bilinear part: pairs ordered, merged, zeros dropped, sorted.
+
+        Recomputed on every read, so that the model never holds a second copy
+        of the terms; order-insensitive readers use ``bilinear`` instead.
+        """
+        return _merge_quad(self.bilinear)
 
 
 @dataclass(frozen=True)
@@ -123,7 +134,7 @@ class Model:
         if sense not in ("<=", ">=", "="):
             raise ModelError(f"bad sense {sense!r}")
         self.constraints[name] = Constraint(
-            name, family, _merge_lin(lin), sense, rhs, _merge_quad(quad)
+            name, family, _merge_lin(lin), sense, rhs, tuple(quad)
         )
         return name
 
@@ -149,10 +160,10 @@ class Model:
             for _, v in con.lin:
                 if v not in self.variables:
                     raise ModelError(f"constraint {con.name} references unknown variable {v}")
-            for _, a, b in con.quad:
+            for _, a, b in con.bilinear:
                 if a not in self.variables or b not in self.variables:
                     raise ModelError(f"constraint {con.name} references unknown variable {a}*{b}")
-            if con.quad and self.kind != "miqcp":
+            if con.bilinear and self.kind != "miqcp":
                 raise ModelError(f"bilinear terms in {con.name} are only allowed in MIQCP models")
         for s in self.sos2.values():
             for v in s.members:
@@ -191,7 +202,7 @@ def constraint_lhs(con: Constraint, values: dict[str, float]) -> float:
     lhs = 0.0
     for coef, v in con.lin:
         lhs += coef * values.get(v, 0.0)
-    for coef, a, b in con.quad:
+    for coef, a, b in con.bilinear:
         lhs += coef * values.get(a, 0.0) * values.get(b, 0.0)
     return lhs
 
@@ -280,7 +291,7 @@ def emit_lp(model: Model) -> str:
 
 def emit_mps(model: Model) -> str:
     model.check()
-    if any(con.quad for con in model.constraints.values()):
+    if any(con.bilinear for con in model.constraints.values()):
         raise ModelError("quadratic constraints unsupported in MPS emission")
     out: list[str] = []
     out.append(f"NAME          {model.name}")
@@ -359,9 +370,10 @@ def emit_model(model: Model, fmt: str = "lp") -> str:
 def parse_solution(text: str, model: Model) -> Assignment:
     """Parse 'name value' lines against the model's variable table.
 
-    Comments start with '#'.  Binary values are rounded when within the
-    integrality tolerance, values outside declared bounds are rejected, and
-    variables missing from the file default to 0 with a warning.
+    Comments start with '#' or, as in LP files, with '\\'.  Values must be
+    finite.  Binary values are rounded when within the integrality tolerance,
+    values outside declared bounds are rejected, and variables missing from
+    the file default to 0 with a warning.
     """
     values: dict[str, float] = {}
     warnings: list[str] = []
@@ -379,7 +391,7 @@ def parse_solution(text: str, model: Model) -> Assignment:
                     except ValueError:
                         pass
             continue
-        if not line:
+        if not line or line.startswith("\\"):
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -393,6 +405,8 @@ def parse_solution(text: str, model: Model) -> Assignment:
             val = float(raw_val)
         except ValueError as exc:
             raise SolutionError(f"line {lineno}: bad number {raw_val!r}") from exc
+        if not math.isfinite(val):
+            raise SolutionError(f"line {lineno}: non-finite value {raw_val!r} for {name}")
         var = model.variables[name]
         if var.binary:
             rounded = round(val)

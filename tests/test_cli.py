@@ -211,6 +211,18 @@ class TestValidate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SolutionError"
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_binary_is_a_solution_error(self, workdir, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.sol"
+        bad.write_text(f"x2_r0 {raw}\n")
+        assert main([
+            "validate", "--scenario", str(workdir / "p0.json"), "--formulation", "milp",
+            "--solution", str(bad),
+        ]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SolutionError"
+        assert "non-finite" in err["message"]
+
 
 class TestOracle:
     def test_joint_summary_with_validation(self, workdir, tmp_path, capsys):

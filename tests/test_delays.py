@@ -148,6 +148,27 @@ class TestValidate:
         assert doc["approximation_error"] is None
         assert doc["unstable"] is True
 
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    @pytest.mark.parametrize("var", ["x4", "mu_r0_n{f}_v2", "x3_r0", "lam_r0_a{s,f}_v1_v2_v1_v2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_are_never_ok(self, tiny, tiny_joint, kind, var, bad):
+        m = (build_miqcp if kind == "miqcp" else build_milp)(tiny)
+        values = dict(as_assignment(tiny_joint, tiny, kind))
+        values[var] = bad
+        rep = validate(tiny, m, values)
+        assert not rep.ok
+        assert [v.name for v in rep.violations if v.family == "non_finite"] == [var]
+        assert "Infinity" not in rep.to_json() and "NaN" not in rep.to_json()
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_nan_service_rate_is_not_timed_as_on_time(self, tiny, tiny_joint, kind):
+        m = (build_miqcp if kind == "miqcp" else build_milp)(tiny)
+        values = dict(as_assignment(tiny_joint, tiny, kind))
+        values["mu_r0_n{f}_v2"] = math.nan
+        rep = validate(tiny, m, values)
+        assert rep.unstable
+        assert math.isinf(rep.exact_lateness[0])
+
     def test_missing_variables_default_to_zero(self, tiny):
         m = build_miqcp(tiny)
         rep = validate(tiny, m, {})

@@ -160,6 +160,17 @@ class TestEvaluation:
         vals = {"x": 1.5, "b": 1.0, "free": 0.25}
         assert constraint_lhs(m.constraints["link"], vals) == pytest.approx(0.25 + 1.5)
 
+    def test_constraint_lhs_over_stored_terms_matches_canonical_sum(self, tiny):
+        m = build_miqcp(tiny)
+        values = {name: (i % 7) / 7 for i, name in enumerate(sorted(m.variables))}
+        rows = [con for con in m.constraints.values() if con.bilinear]
+        assert rows
+        for con in rows:
+            canonical = sum(c * values[v] for c, v in con.lin) + sum(
+                c * values[a] * values[b] for c, a, b in con.quad
+            )
+            assert constraint_lhs(con, values) == pytest.approx(canonical, rel=0, abs=1e-12)
+
     def test_violation_respects_sense(self):
         m = golden_miqcp()
         con = m.constraints["cap"]
@@ -191,6 +202,14 @@ class TestEmission:
         with pytest.raises(ModelError, match="MPS"):
             emit_mps(golden_miqcp())
 
+    def test_mps_rejects_bilinear_terms_given_in_any_order(self):
+        m = Model("miqcp", name="q")
+        m.add_var("a", "lam")
+        m.add_var("b", "eta")
+        m.add_con("row", "delay", [], "<=", 1.0, quad=[(1.0, "b", "a"), (0.5, "a", "b")])
+        with pytest.raises(ModelError, match="MPS"):
+            emit_mps(m)
+
     def test_emit_model_dispatch(self):
         m = golden_milp()
         assert emit_model(m, "lp").startswith("\\ golden")
@@ -202,6 +221,26 @@ class TestEmission:
         for build in (build_miqcp, build_milp):
             a, b = build(tiny), build(tiny)
             assert emit_lp(a) == emit_lp(b)
+
+    def test_bilinear_rows_emit_canonically_whatever_the_input_order(self):
+        canonical = [(3.0, "a", "b"), (-1.5, "a", "c"), (0.25, "b", "c")]
+        messy = [
+            (0.25, "c", "b"),
+            (2.0, "b", "x"),
+            (1.0, "b", "a"),
+            (-1.5, "c", "a"),
+            (-2.0, "x", "b"),  # cancels the (b, x) pair above
+            (2.0, "a", "b"),
+        ]
+        texts = []
+        for quad in (canonical, messy):
+            m = Model("miqcp", name="order")
+            for v in ("a", "b", "c", "x"):
+                m.add_var(v, "lam")
+            m.add_con("row", "delay", [(1.0, "x")], "<=", 2.0, quad=quad)
+            texts.append(emit_lp(m))
+        assert texts[0] == texts[1]
+        assert " row: 1 x + [ + 3 a * b - 1.5 a * c + 0.25 b * c ] <= 2\n" in texts[0]
 
     def test_fixed_binaries_pinned_in_bounds(self):
         m = golden_milp()
@@ -246,6 +285,16 @@ class TestSolutionParsing:
             parse_solution("x 1 2\n", golden_miqcp())
         with pytest.raises(SolutionError, match="bad number"):
             parse_solution("x one\n", golden_miqcp())
+
+    @pytest.mark.parametrize("name", ["x", "b"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_values_rejected(self, name, raw):
+        with pytest.raises(SolutionError, match="non-finite"):
+            parse_solution(f"{name} {raw}\n", golden_miqcp())
+
+    def test_backslash_lines_are_comments(self):
+        asg = parse_solution("\\ written by a solver\nx 1.5\n  \\ indented\n", golden_miqcp())
+        assert asg.values["x"] == 1.5
 
     def test_repr_floats_round_trip_exactly(self):
         m = golden_miqcp()
