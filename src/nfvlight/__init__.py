@@ -64,7 +64,6 @@ from .scenario import (
     SubstrateNetwork,
     builtin_topology,
     dumps_scenario,
-    enumerate_permutations,
     load_scenario,
     loads_scenario,
     motivation_scenario,

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
 from . import naming
-from .exact import add_flow_part, apply_objective, compute_bigM
+from .exact import add_flow_part, apply_objective, delay_rows, load_terms
 from .optmodel import Model
 from .scenario import Scenario, SubstrateNetwork, propagate_rate_bounds
 
@@ -285,20 +284,17 @@ def build_milp(
     prune_pinned_tuples: bool = False,
     objective_part: int | None = None,
     pinned_objectives=(),
-    path_table: PathTable | None = None,
-    partitions: QueuePartitions | None = None,
 ) -> Model:
     """Compile the wavelength-assignment-only piecewise-linear formulation."""
     sub = scn.substrate
     V = sub.vertices
     gammas = range(sub.wavelengths)
     mu_bar = sub.line_rate
-    table = path_table or shortest_paths(sub)
-    parts = partitions or resolve_partitions(scn)
-    bigm = compute_bigM(scn)
+    table = shortest_paths(sub)
+    parts = resolve_partitions(scn)
 
     m = Model("milp", name=f"{scn.name}-milp")
-    ctx = add_flow_part(m, scn, bigm, prune_pinned_tuples=prune_pinned_tuples)
+    ctx = add_flow_part(m, scn, prune_pinned_tuples=prune_pinned_tuples)
 
     pairs_ne = [(w, wp) for w in V for wp in V if w != wp]
 
@@ -308,21 +304,10 @@ def build_milp(
         for g in gammas:
             l_tab[(w, wp, g)] = m.add_var(naming.l_wa_name(w, wp, g), "l", binary=True)
 
-    # aggregate load expression per ordered pair; tuples, because rows share them
-    def load_terms(w: str, wp: str, skip_degenerate: bool):
-        return tuple(
-            (1.0, ctx.lam[(ri, a, v, vp, w, wp)])
-            for ri, req in enumerate(scn.requests)
-            for a in req.graph.arcs
-            for v in V
-            for vp in V
-            if not (skip_degenerate and v == vp)
-        )
-
-    load = {(w, wp): load_terms(w, wp, skip_degenerate=False) for w in V for wp in V}
+    load = {(w, wp): load_terms(scn, ctx, w, wp) for w in V for wp in V}
 
     for (w, wp) in pairs_ne:
-        cap_terms = load_terms(w, wp, skip_degenerate=True)
+        cap_terms = load_terms(scn, ctx, w, wp, skip_degenerate=True)
         cap_terms += tuple((-mu_bar, l_tab[(w, wp, g)]) for g in gammas)
         m.add_con(f"lightpath_capacity_{w}_{wp}", "lightpath_capacity", cap_terms, "<=", 0.0)
 
@@ -377,17 +362,11 @@ def build_milp(
 
     # processing margin and knots
     for ri, req in enumerate(scn.requests):
-        g_fg = req.graph
-        for n in g_fg.functional:
+        for n in req.graph.functional:
             for v in V:
                 key = (ri, n, v)
                 yv = ctx.y[key]
-                inflow = [
-                    (1.0, ctx.lam[(ri, a, vp, v, wp, v)])
-                    for a in g_fg.in_arcs(n)
-                    for vp in V
-                    for wp in V
-                ]
+                inflow = ctx.inflow[key]
                 part = parts.processing.get(key)
                 if part is None:
                     m.fix_var(yv, 0.0)
@@ -395,7 +374,7 @@ def build_milp(
                 m.add_con(
                     f"processing_margin_r{ri}_{naming.node_token(n)}_{v}",
                     "processing_margin",
-                    [(part.eps, yv)] + inflow + [(-1.0, ctx.mu[key])],
+                    [(part.eps, yv), *inflow, (-1.0, ctx.mu[key])],
                     "<=",
                     0.0,
                 )
@@ -427,82 +406,55 @@ def build_milp(
     fwd = parts.forwarding
     fwd_values = [1.0 / fwd.knots[k] + fwd.shift for k in range(fwd.K + 1)]
     xi_fwd: dict[tuple, list[str]] = {}
-    for ri, req in enumerate(scn.requests):
-        for a in req.graph.arcs:
-            for v in V:
-                for vp in V:
-                    for w in V:
-                        for wp in V:
-                            xi = [
-                                m.add_var(
-                                    naming.xi_fwd_name(ri, a, v, vp, w, wp, k),
-                                    "xi",
-                                    lb=0.0,
-                                    ub=1.0,
-                                )
-                                for k in range(fwd.K + 2)
-                            ]
-                            xi_fwd[(ri, a, v, vp, w, wp)] = xi
-                            base = f"r{ri}_{naming.arc_token(a)}_{v}_{vp}_{w}_{wp}"
-                            m.add_sos2(f"sos2_fwd_{base}", xi)
-                            m.add_con(
-                                f"forwarding_knots_{base}",
-                                "forwarding_knots",
-                                [(1.0, ctx.z[(ri, a, v, vp, w, wp)])]
-                                + [(-1.0, x) for x in xi[: fwd.K + 1]],
-                                "=",
-                                0.0,
-                            )
-                            slack = [(fwd.knots[k], xi[k]) for k in range(fwd.K + 2)]
-                            slack += load[(w, wp)]
-                            m.add_con(
-                                f"forwarding_slack_{base}",
-                                "forwarding_slack",
-                                slack,
-                                "=",
-                                mu_bar,
-                            )
+    for key, zname in ctx.z.items():
+        ri, a, v, vp, w, wp = key
+        xi = [
+            m.add_var(naming.xi_fwd_name(*key, k), "xi", lb=0.0, ub=1.0)
+            for k in range(fwd.K + 2)
+        ]
+        xi_fwd[key] = xi
+        base = f"r{ri}_{naming.arc_token(a)}_{v}_{vp}_{w}_{wp}"
+        m.add_sos2(f"sos2_fwd_{base}", xi)
+        m.add_con(
+            f"forwarding_knots_{base}",
+            "forwarding_knots",
+            [(1.0, zname)] + [(-1.0, x) for x in xi[: fwd.K + 1]],
+            "=",
+            0.0,
+        )
+        slack = [(fwd.knots[k], xi[k]) for k in range(fwd.K + 2)]
+        slack += load[(w, wp)]
+        m.add_con(
+            f"forwarding_slack_{base}",
+            "forwarding_slack",
+            slack,
+            "=",
+            mu_bar,
+        )
 
     # piecewise delay rows, one per source-destination path and vertex tuple
-    for ri, req in enumerate(scn.requests):
-        g_fg = req.graph
-        for pi, path in enumerate(g_fg.paths()):
-            J = len(path)
-            arcs = [(path[j], path[j + 1]) for j in range(J - 1)]
-            choices = ctx.tuple_choices(ri, path)
-            for vtuple in itertools.product(*choices):
-                lin = [(-1.0, ctx.x3[ri])]
-                for j, a in enumerate(arcs):
-                    vj, vj1 = vtuple[j], vtuple[j + 1]
-                    for (w, wp) in pairs_ne:
-                        d = table.dist[(w, wp)]
-                        if d:
-                            lin.append((d, ctx.z[(ri, a, vj, vj1, w, wp)]))
-                        xi = xi_fwd[(ri, a, vj, vj1, w, wp)]
-                        for k in range(fwd.K + 1):
-                            lin.append((fwd_values[k], xi[k]))
-                for j in range(1, J - 1):
-                    key = (ri, path[j], vtuple[j])
-                    part = parts.processing.get(key)
-                    if part is None:
-                        continue
-                    for k in range(part.K + 1):
-                        lin.append(
-                            (1.0 / part.knots[k] + part.shift, naming.xi_proc_name(ri, path[j], vtuple[j], k))
-                        )
-                name = f"delay_r{ri}_p{pi}_" + "_".join(vtuple)
-                m.add_con(name, "delay", lin, "<=", req.d_max)
+    for name, ri, hops, inner in delay_rows(scn, ctx):
+        lin = [(-1.0, ctx.x3[ri])]
+        for a, v, vp in hops:
+            for (w, wp) in pairs_ne:
+                d = table.dist[(w, wp)]
+                if d:
+                    lin.append((d, ctx.z[(ri, a, v, vp, w, wp)]))
+                xi = xi_fwd[(ri, a, v, vp, w, wp)]
+                for k in range(fwd.K + 1):
+                    lin.append((fwd_values[k], xi[k]))
+        for n, v in inner:
+            part = parts.processing.get((ri, n, v))
+            if part is None:
+                continue
+            for k in range(part.K + 1):
+                lin.append((1.0 / part.knots[k] + part.shift, naming.xi_proc_name(ri, n, v, k)))
+        m.add_con(name, "delay", lin, "<=", scn.requests[ri].d_max)
 
     if fixed_topology:
-        adjacent = set()
-        for (u, v) in sub.fibers():
-            adjacent.add((u, v))
-            adjacent.add((v, u))
+        # the fixed topology lights every fiber as a one-hop lightpath on wavelength 0
         for (w, wp, g), name in l_tab.items():
-            if (w, wp) in adjacent and g == 0:
-                m.fix_var(name, 1.0)
-            else:
-                m.fix_var(name, 0.0)
+            m.fix_var(name, 1.0 if (w, wp) in sub.edges and g == 0 else 0.0)
 
     path_terms = [
         (table.dist[(w, wp)], l_tab[(w, wp, g)])

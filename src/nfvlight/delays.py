@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .approx import PathTable, shortest_paths
+from . import naming
+from .approx import shortest_paths
 from .optmodel import Assignment, Model, constraint_violation, objective_value
 from .scenario import Scenario
 
@@ -44,14 +45,7 @@ class EmbeddingView:
     warnings: list[str] = field(default_factory=list)
 
 
-def build_embedding_view(
-    scn: Scenario,
-    kind: str,
-    values: dict[str, float],
-    path_table: PathTable | None = None,
-) -> EmbeddingView:
-    from . import naming
-
+def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> EmbeddingView:
     sub = scn.substrate
     V = sub.vertices
     view = EmbeddingView()
@@ -125,7 +119,7 @@ def build_embedding_view(
                 view.established.add((w, wp))
                 view.psi[(w, wp)] = delay
     else:
-        table = path_table or shortest_paths(sub)
+        table = shortest_paths(sub)
         for (w, wp) in pairs_ne:
             lit = any(
                 values.get(naming.l_wa_name(w, wp, gamma), 0.0) > 0.5
@@ -243,18 +237,13 @@ class ValidationReport:
 
 
 def validate(
-    scn: Scenario,
-    model: Model,
-    assignment: Assignment | dict[str, float],
-    path_table: PathTable | None = None,
+    scn: Scenario, model: Model, assignment: Assignment | dict[str, float]
 ) -> ValidationReport:
     """Re-check every model row at the assignment and re-time it with exact delays.
 
     A NaN or infinite value is a ``non_finite`` violation, so a solution that
     cannot be checked is never reported ``ok``.
     """
-    from . import naming
-
     raw = assignment.values if isinstance(assignment, Assignment) else dict(assignment)
     values = {name: raw.get(name, 0.0) for name in model.variables}
 
@@ -277,7 +266,7 @@ def validate(
         if len(live) > 2 or (len(live) == 2 and live[1] - live[0] != 1):
             violations.append(Violation(sos.name, "sos2_adjacency", float(len(live))))
 
-    view = build_embedding_view(scn, model.kind, values, path_table)
+    view = build_embedding_view(scn, model.kind, values)
     exact = request_lateness(view, scn)
     unstable = any(math.isinf(v) for v in exact.values())
 

@@ -64,31 +64,25 @@ def compute_bigM(scn: Scenario) -> BigMPolicy:
 
 @dataclass
 class FlowContext:
-    """Variable-name tables produced while adding the shared flow families."""
+    """Variable-name tables produced while adding the shared flow families.
 
-    bigm: BigMPolicy
-    prune: bool
+    ``inflow`` holds, per ``(request, node, vertex)``, the routed flows that
+    arrive at the node placed on the vertex, as ``(1.0, lam)`` terms.
+    """
+
     allowed: dict[tuple[int, str], tuple[str, ...]]
     lam: dict[tuple, str] = field(default_factory=dict)
     z: dict[tuple, str] = field(default_factory=dict)
     y: dict[tuple[int, str, str], str] = field(default_factory=dict)
     mu: dict[tuple[int, str, str], str] = field(default_factory=dict)
+    inflow: dict[tuple[int, str, str], tuple[tuple[float, str], ...]] = field(default_factory=dict)
     x1: list[str] = field(default_factory=list)
     x2: list[str] = field(default_factory=list)
     x3: list[str] = field(default_factory=list)
     x4: str = "x4"
 
-    def tuple_choices(self, ri: int, path: tuple[str, ...]) -> list[tuple[str, ...]]:
-        return [self.allowed[(ri, n)] for n in path]
 
-
-def add_flow_part(
-    m: Model,
-    scn: Scenario,
-    bigm: BigMPolicy | None = None,
-    *,
-    prune_pinned_tuples: bool = False,
-) -> FlowContext:
+def add_flow_part(m: Model, scn: Scenario, *, prune_pinned_tuples: bool = False) -> FlowContext:
     """Add flow, placement and activation variables with their constraints.
 
     Both formulations share this part: fulfillment switches, routed-flow
@@ -97,7 +91,7 @@ def add_flow_part(
     """
     sub = scn.substrate
     V = sub.vertices
-    bigm = bigm or compute_bigM(scn)
+    bigm = compute_bigM(scn)
 
     allowed: dict[tuple[int, str], tuple[str, ...]] = {}
     for ri, req in enumerate(scn.requests):
@@ -112,7 +106,7 @@ def add_flow_part(
                         by_node.setdefault(n, []).append(v)
                 for n, verts in by_node.items():
                     allowed[(ri, n)] = tuple(v for v in V if v in set(verts))
-    ctx = FlowContext(bigm=bigm, prune=prune_pinned_tuples, allowed=allowed)
+    ctx = FlowContext(allowed=allowed)
 
     cap = bigm.lateness_cap
     m.add_var("x4", "x4", lb=0.0, ub=cap)
@@ -168,17 +162,17 @@ def add_flow_part(
         for n in g.functional:
             m_pl = bigm.placement[(ri, n)]
             for v in V:
-                inflow = [
+                ctx.inflow[(ri, n, v)] = inflow = tuple(
                     (1.0, ctx.lam[(ri, a, vp, v, wp, v)])
                     for a in g.in_arcs(n)
                     for vp in V
                     for wp in V
-                ]
+                )
                 yv = ctx.y[(ri, n, v)]
                 m.add_con(
                     f"placement_activation_ub_r{ri}_{naming.node_token(n)}_{v}",
                     "placement_activation_ub",
-                    inflow + [(-m_pl, yv)],
+                    [*inflow, (-m_pl, yv)],
                     "<=",
                     0.0,
                 )
@@ -363,6 +357,40 @@ def add_flow_part(
     return ctx
 
 
+def load_terms(
+    scn: Scenario, ctx: FlowContext, w: str, wp: str, skip_degenerate: bool = False
+) -> tuple[tuple[float, str], ...]:
+    """Aggregate load on lightpath (w, w') as ``(1.0, lam)`` terms.
+
+    ``skip_degenerate`` leaves out flows whose data endpoints coincide.  A
+    tuple, so rows can share one expression.
+    """
+    V = scn.substrate.vertices
+    return tuple(
+        (1.0, ctx.lam[(ri, a, v, vp, w, wp)])
+        for ri, req in enumerate(scn.requests)
+        for a in req.graph.arcs
+        for v in V
+        for vp in V
+        if not (skip_degenerate and v == vp)
+    )
+
+
+def delay_rows(scn: Scenario, ctx: FlowContext):
+    """Enumerate the delay rows: one per request path and allowed vertex tuple.
+
+    Yields the row name, the request index, the data hops ``(arc, v, v')``
+    along the path, and the inner placements ``(node, v)``.
+    """
+    for ri, req in enumerate(scn.requests):
+        for pi, path in enumerate(req.graph.paths()):
+            arcs = list(zip(path, path[1:]))
+            for vtuple in itertools.product(*(ctx.allowed[(ri, n)] for n in path)):
+                hops = [(a, vtuple[j], vtuple[j + 1]) for j, a in enumerate(arcs)]
+                inner = list(zip(path[1:-1], vtuple[1:-1]))
+                yield f"delay_r{ri}_p{pi}_" + "_".join(vtuple), ri, hops, inner
+
+
 def apply_objective(
     m: Model,
     scn: Scenario,
@@ -429,10 +457,9 @@ def build_miqcp(
     V = sub.vertices
     gammas = range(sub.wavelengths)
     mu_bar = sub.line_rate
-    bigm = compute_bigM(scn)
 
     m = Model("miqcp", name=f"{scn.name}-miqcp")
-    ctx = add_flow_part(m, scn, bigm, prune_pinned_tuples=prune_pinned_tuples)
+    ctx = add_flow_part(m, scn, prune_pinned_tuples=prune_pinned_tuples)
 
     pairs_ne = [(w, wp) for w in V for wp in V if w != wp]
 
@@ -463,20 +490,9 @@ def build_miqcp(
             for g in gammas:
                 l_tab[(w, wp, e, g)] = m.add_var(naming.l_name(w, wp, e, g), "l", binary=True)
 
-    def load_terms(w: str, wp: str, skip_degenerate: bool):
-        terms = []
-        for ri, req in enumerate(scn.requests):
-            for a in req.graph.arcs:
-                for v in V:
-                    for vp in V:
-                        if skip_degenerate and v == vp:
-                            continue
-                        terms.append((1.0, ctx.lam[(ri, a, v, vp, w, wp)]))
-        return terms
-
     # forwarding queue sojourn time: eta >= 1 / (line rate - load)
     for (w, wp) in pairs_ne:
-        quad = [(1.0, name, eta[(w, wp)]) for _, name in load_terms(w, wp, False)]
+        quad = [(1.0, name, eta[(w, wp)]) for _, name in load_terms(scn, ctx, w, wp)]
         m.add_con(
             f"forwarding_sojourn_{w}_{wp}",
             "forwarding_sojourn",
@@ -488,43 +504,32 @@ def build_miqcp(
 
     # processing queue sojourn time: theta >= y / (mu - arrivals)
     for ri, req in enumerate(scn.requests):
-        g_fg = req.graph
-        for n in g_fg.functional:
+        for n in req.graph.functional:
             for v in V:
-                th = theta[(ri, n, v)]
-                quad = [
-                    (1.0, ctx.lam[(ri, a, vp, v, wp, v)], th)
-                    for a in g_fg.in_arcs(n)
-                    for vp in V
-                    for wp in V
-                ]
-                quad.append((-1.0, ctx.mu[(ri, n, v)], th))
+                key = (ri, n, v)
+                th = theta[key]
+                quad = [(1.0, name, th) for _, name in ctx.inflow[key]]
+                quad.append((-1.0, ctx.mu[key], th))
                 m.add_con(
                     f"processing_sojourn_r{ri}_{naming.node_token(n)}_{v}",
                     "processing_sojourn",
-                    [(1.0, ctx.y[(ri, n, v)])],
+                    [(1.0, ctx.y[key])],
                     "<=",
                     0.0,
                     quad=quad,
                 )
                 # arrivals must stay below the allocated service rate
-                inflow = [
-                    (1.0, ctx.lam[(ri, a, vp, v, wp, v)])
-                    for a in g_fg.in_arcs(n)
-                    for vp in V
-                    for wp in V
-                ]
                 m.add_con(
                     f"service_rate_capacity_r{ri}_{naming.node_token(n)}_{v}",
                     "service_rate_capacity",
-                    inflow + [(-1.0, ctx.mu[(ri, n, v)])],
+                    [*ctx.inflow[key], (-1.0, ctx.mu[key])],
                     "<=",
                     0.0,
                 )
 
     # lightpath hop capacity and route structure
     for (w, wp) in pairs_ne:
-        cap_terms = load_terms(w, wp, skip_degenerate=True)
+        cap_terms = list(load_terms(scn, ctx, w, wp, skip_degenerate=True))
         for g in gammas:
             for u in sub.out_neighbors(w):
                 cap_terms.append((-mu_bar, l_tab[(w, wp, (w, u), g)]))
@@ -636,33 +641,22 @@ def build_miqcp(
         psi_terms[(w, wp)] = terms
 
     # exact delay rows: propagation plus queue sojourn along every path
-    for ri, req in enumerate(scn.requests):
-        g_fg = req.graph
-        for pi, path in enumerate(g_fg.paths()):
-            J = len(path)
-            arcs = [(path[j], path[j + 1]) for j in range(J - 1)]
-            choices = ctx.tuple_choices(ri, path)
-            for vtuple in itertools.product(*choices):
-                quad = []
-                for j, a in enumerate(arcs):
-                    vj, vj1 = vtuple[j], vtuple[j + 1]
-                    for (w, wp) in pairs_ne:
-                        zname = ctx.z[(ri, a, vj, vj1, w, wp)]
-                        for d, lname in psi_terms[(w, wp)]:
-                            quad.append((d, zname, lname))
-                        quad.append((1.0, zname, eta[(w, wp)]))
-                for j in range(1, J - 1):
-                    quad.append((1.0, ctx.y[(ri, path[j], vtuple[j])], theta[(ri, path[j], vtuple[j])]))
-                name = f"delay_r{ri}_p{pi}_" + "_".join(vtuple)
-                m.add_con(name, "delay", [(-1.0, ctx.x3[ri])], "<=", req.d_max, quad=quad)
+    for name, ri, hops, inner in delay_rows(scn, ctx):
+        quad = []
+        for a, v, vp in hops:
+            for (w, wp) in pairs_ne:
+                zname = ctx.z[(ri, a, v, vp, w, wp)]
+                for d, lname in psi_terms[(w, wp)]:
+                    quad.append((d, zname, lname))
+                quad.append((1.0, zname, eta[(w, wp)]))
+        for n, v in inner:
+            quad.append((1.0, ctx.y[(ri, n, v)], theta[(ri, n, v)]))
+        m.add_con(name, "delay", [(-1.0, ctx.x3[ri])], "<=", scn.requests[ri].d_max, quad=quad)
 
     if fixed_topology:
-        pinned = set()
-        for (u, v) in sub.fibers():
-            pinned.add((u, v, (u, v), 0))
-            pinned.add((v, u, (v, u), 0))
-        for key, name in l_tab.items():
-            m.fix_var(name, 1.0 if key in pinned else 0.0)
+        # the fixed topology lights every fiber as a one-hop lightpath on wavelength 0
+        for (w, wp, e, g), name in l_tab.items():
+            m.fix_var(name, 1.0 if e == (w, wp) and g == 0 else 0.0)
 
     path_terms = []
     for (w, wp) in pairs_ne:

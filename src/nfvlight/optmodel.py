@@ -258,8 +258,7 @@ def emit_lp(model: Model) -> str:
     out.append("Subject To")
     for name in sorted(model.constraints):
         con = model.constraints[name]
-        sense = con.sense if con.sense != "=" else "="
-        out.append(f" {name}: {_lp_terms(con.lin, con.quad)} {sense} {_num(con.rhs)}")
+        out.append(f" {name}: {_lp_terms(con.lin, con.quad)} {con.sense} {_num(con.rhs)}")
     out.append("Bounds")
     for name in sorted(model.variables):
         var = model.variables[name]
@@ -370,10 +369,11 @@ def emit_model(model: Model, fmt: str = "lp") -> str:
 def parse_solution(text: str, model: Model) -> Assignment:
     """Parse 'name value' lines against the model's variable table.
 
-    Comments start with '#' or, as in LP files, with '\\'.  Values must be
-    finite.  Binary values are rounded when within the integrality tolerance,
-    values outside declared bounds are rejected, and variables missing from
-    the file default to 0 with a warning.
+    Comments start with '#' or, as in LP files, with '\\'.  Values, and an
+    objective value given in a comment, must be finite.  Binary values are
+    rounded when within the integrality tolerance, values outside declared
+    bounds are rejected, and variables missing from the file default to 0
+    with a warning.
     """
     values: dict[str, float] = {}
     warnings: list[str] = []
@@ -390,6 +390,11 @@ def parse_solution(text: str, model: Model) -> Assignment:
                         objective = float(tail[1])
                     except ValueError:
                         pass
+                    else:
+                        if not math.isfinite(objective):
+                            raise SolutionError(
+                                f"line {lineno}: non-finite objective value {tail[1].strip()!r}"
+                            )
             continue
         if not line or line.startswith("\\"):
             continue

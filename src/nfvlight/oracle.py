@@ -708,9 +708,6 @@ def as_assignment(
     result: OracleResult,
     scn: Scenario,
     kind: str = "miqcp",
-    *,
-    path_table=None,
-    partitions=None,
 ) -> dict[str, float]:
     """Variable values realizing the oracle solution in the chosen formulation."""
     if kind not in ("miqcp", "milp"):
@@ -718,7 +715,7 @@ def as_assignment(
     sub = scn.substrate
     V = sub.vertices
     mu_bar = sub.line_rate
-    table = path_table or shortest_paths(sub)
+    table = shortest_paths(sub)
     vals: dict[str, float] = {}
 
     arrivals: dict[tuple[int, str], float] = {}
@@ -779,7 +776,7 @@ def as_assignment(
 
     # piecewise-linear assignment: recompute service at maximal allocation so
     # every active processing queue keeps its configured margin
-    parts = partitions or resolve_partitions(scn)
+    parts = resolve_partitions(scn)
     from .approx import ApproxError
 
     service2: dict[tuple[int, str], float] = {}

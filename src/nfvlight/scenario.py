@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -36,6 +37,22 @@ def _ident(raw: object, what: str) -> str:
             f"{what} id {name!r} must match [A-Za-z0-9.]+", invariant="identifier"
         )
     return name
+
+
+def _nonnegative(x: float) -> bool:
+    """True for a finite ``x >= 0``; NaN and infinities fail."""
+    return math.isfinite(x) and x >= 0
+
+
+def _positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+def _integer(raw: object, where: str) -> int:
+    """An integer field; ``int()`` alone would truncate 2.7 to 2."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ScenarioError(f"{where} must be an integer, got {raw!r}", invariant="schema")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -104,8 +121,10 @@ class SubstrateNetwork:
                 )
         for e in self.edges:
             d = self.delay.get(e)
-            if d is None or d < 0:
-                raise ScenarioError(f"edge {e} needs a nonnegative delay", invariant="edge_delay")
+            if d is None or not _nonnegative(d):
+                raise ScenarioError(
+                    f"edge {e} needs a finite nonnegative delay", invariant="edge_delay"
+                )
         # connectivity over the undirected view
         if self.vertices:
             reach = {self.vertices[0]}
@@ -124,12 +143,16 @@ class SubstrateNetwork:
         for v, c in self.capacity.items():
             if v not in seen_v:
                 raise ScenarioError(f"capacity for unknown vertex {v}", invariant="reference")
-            if c < 0:
-                raise ScenarioError(f"negative capacity at {v}", invariant="capacity")
-        if self.wavelengths < 1:
-            raise ScenarioError("need at least one wavelength", invariant="wavelengths")
-        if self.line_rate <= 0:
-            raise ScenarioError("line rate must be positive", invariant="line_rate")
+            if not _nonnegative(c):
+                raise ScenarioError(
+                    f"capacity at {v} must be finite and nonnegative", invariant="capacity"
+                )
+        if not isinstance(self.wavelengths, int) or self.wavelengths < 1:
+            raise ScenarioError(
+                "need a whole number of wavelengths, at least one", invariant="wavelengths"
+            )
+        if not _positive(self.line_rate):
+            raise ScenarioError("line rate must be positive and finite", invariant="line_rate")
 
     def cap(self, v: str) -> float:
         return self.capacity.get(v, 0.0)
@@ -255,19 +278,25 @@ class ForwardingGraph:
                         f"alpha_arc[{arc}] references {in_arc}, not an incoming arc of {arc[0]}",
                         invariant="reference",
                     )
-                if coef < 0:
-                    raise ScenarioError("negative arc coefficient", invariant="coefficient")
+                if not _nonnegative(coef):
+                    raise ScenarioError(
+                        "arc coefficient must be finite and nonnegative", invariant="coefficient"
+                    )
         for arc, b in self.beta_arc.items():
             if arc not in aset:
                 raise ScenarioError(f"beta_arc references unknown arc {arc}", invariant="reference")
-            if b < 0:
-                raise ScenarioError("negative arc offset", invariant="coefficient")
+            if not _nonnegative(b):
+                raise ScenarioError(
+                    "arc offset must be finite and nonnegative", invariant="coefficient"
+                )
         for n in itertools.chain(self.alpha_node, self.beta_node):
             if n not in seen:
                 raise ScenarioError(f"node coefficient for unknown node {n}", invariant="reference")
         for n in self.functional:
-            if self.node_alpha(n) < 0 or self.node_beta(n) < 0:
-                raise ScenarioError("negative node coefficient", invariant="coefficient")
+            if not (_nonnegative(self.node_alpha(n)) and _nonnegative(self.node_beta(n))):
+                raise ScenarioError(
+                    "node coefficients must be finite and nonnegative", invariant="coefficient"
+                )
 
 
 Restriction = tuple[str, str, float]  # (node, vertex, proportion)
@@ -283,8 +312,8 @@ class Request:
 
     def validate(self, substrate: SubstrateNetwork) -> list[str]:
         self.graph.validate()
-        if self.d_max < 0:
-            raise ScenarioError("d_max must be nonnegative", invariant="d_max")
+        if not _nonnegative(self.d_max):
+            raise ScenarioError("d_max must be finite and nonnegative", invariant="d_max")
         for s in self.graph.sources:
             for arc in self.graph.out_arcs(s):
                 if arc not in self.initial_rates:
@@ -296,8 +325,10 @@ class Request:
                 raise ScenarioError(
                     f"initial rate on {arc}, not a source arc", invariant="initial_rate"
                 )
-            if rate <= 0:
-                raise ScenarioError(f"initial rate on {arc} must be positive", invariant="initial_rate")
+            if not _positive(rate):
+                raise ScenarioError(
+                    f"initial rate on {arc} must be positive and finite", invariant="initial_rate"
+                )
         warnings = []
         for label, entries in (("source", self.source_restrictions), ("dest", self.dest_restrictions)):
             sums: dict[str, float] = {}
@@ -378,14 +409,24 @@ class Scenario:
         self.substrate.validate()
         warnings = []
         for w in self.weights.as_C() + self.weights.as_c():
-            if w < 0:
-                raise ScenarioError("objective weights must be nonnegative", invariant="weights")
+            if not _nonnegative(w):
+                raise ScenarioError(
+                    "objective weights must be finite and nonnegative", invariant="weights"
+                )
         for req in self.requests:
             warnings.extend(req.validate(self.substrate))
-        if self.approx.shift_mode not in ("zero", "balanced"):
+        ap = self.approx
+        if ap.shift_mode not in ("zero", "balanced"):
             raise ScenarioError("shift_mode must be 'zero' or 'balanced'", invariant="approx")
-        if not self.approx.error_target > 0:
-            raise ScenarioError("error target must be positive", invariant="approx")
+        if not _positive(ap.error_target):
+            raise ScenarioError("error target must be positive and finite", invariant="approx")
+        settings = [self.big_m.lambda_min, self.big_m.lateness_cap]
+        for qa in (ap.forwarding, ap.processing, *ap.processing_by_vertex.values()):
+            settings += [qa.eps, qa.upper]
+        if any(x is not None and not math.isfinite(x) for x in settings):
+            raise ScenarioError(
+                "approximation and big-M settings must be finite", invariant="approx"
+            )
         return warnings
 
     @property
@@ -505,14 +546,6 @@ def permutation_scenario(
     )
     scn.validate()
     return scn
-
-
-def enumerate_permutations(substrate: SubstrateNetwork, topology_name: str = "custom", **kw) -> list[Scenario]:
-    n = len(list(itertools.permutations(substrate.vertices, 3)))
-    return [
-        permutation_scenario(substrate, i, topology_name=topology_name, **kw)
-        for i in range(n)
-    ]
 
 
 def motivation_scenario(rate_a: float = 1.6, rate_b: float = 2.0) -> Scenario:
@@ -640,10 +673,11 @@ def _queue_approx_from(entry: dict, where: str) -> QueueApprox:
     for k in entry:
         if k not in known:
             raise ScenarioError(f"{where}: unknown key {k!r}", invariant="schema")
+    eps, upper, base_points = (entry.get(k) for k in ("eps", "upper", "base_points"))
     return QueueApprox(
-        eps=entry.get("eps"),
-        upper=entry.get("upper"),
-        base_points=entry.get("base_points"),
+        eps=None if eps is None else float(eps),
+        upper=None if upper is None else float(upper),
+        base_points=None if base_points is None else _integer(base_points, f"{where}.base_points"),
     )
 
 
@@ -663,7 +697,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             edges=tuple(edges),
             delay=delay,
             capacity={_ident(k, "vertex"): float(c) for k, c in sub.get("capacities", {}).items()},
-            wavelengths=int(sub["wavelengths"]),
+            wavelengths=_integer(sub["wavelengths"], "substrate.wavelengths"),
             line_rate=float(sub["line_rate"]),
         )
         requests = []

@@ -223,6 +223,19 @@ class TestValidate:
         assert err["error"] == "SolutionError"
         assert "non-finite" in err["message"]
 
+    def test_non_finite_objective_is_a_solution_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.sol"
+        bad.write_text("# Objective value = nan\n" + (workdir / "p0.sol").read_text())
+        assert main([
+            "validate", "--scenario", str(workdir / "p0.json"), "--formulation", "milp",
+            "--solution", str(bad),
+        ]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SolutionError"
+        assert "non-finite objective" in err["message"]
+
 
 class TestOracle:
     def test_joint_summary_with_validation(self, workdir, tmp_path, capsys):

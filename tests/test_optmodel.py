@@ -292,6 +292,11 @@ class TestSolutionParsing:
         with pytest.raises(SolutionError, match="non-finite"):
             parse_solution(f"{name} {raw}\n", golden_miqcp())
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_objective_rejected(self, raw):
+        with pytest.raises(SolutionError, match="non-finite objective"):
+            parse_solution(f"# Objective value = {raw}\nx 1\n", golden_miqcp())
+
     def test_backslash_lines_are_comments(self):
         asg = parse_solution("\\ written by a solver\nx 1.5\n  \\ indented\n", golden_miqcp())
         assert asg.values["x"] == 1.5

@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nfvlight import (
     ForwardingGraph,
@@ -19,6 +23,8 @@ from nfvlight import (
     permutation_scenario,
     propagate_rate_bounds,
     save_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
 )
 from conftest import make_tiny
 
@@ -252,3 +258,100 @@ class TestSerialization:
             loads_scenario(
                 dumps_scenario(make_tiny()).replace("s->f", "sf", 1)
             )
+
+
+def rich_scenario_dict() -> dict:
+    """The motivation instance with every optional numeric field set."""
+    data = scenario_to_dict(motivation_scenario())
+    data["requests"][0].update(
+        alpha_node={"f": 1.0},
+        beta_node={"f": 0.5},
+        alpha_arc={"f->d": {"s->f": 1.0}},
+        beta_arc={"f->d": 0.1},
+    )
+    data["approx"] = {
+        "error_target": 0.02,
+        "forwarding": {"eps": 0.5, "upper": 4.0, "base_points": 5},
+        "processing": {"eps": 0.1, "upper": 9.0, "base_points": 4},
+        "processing_by_vertex": {"v3": {"eps": 0.2, "upper": 5.0, "base_points": 3}},
+    }
+    data["big_m"] = {"lambda_min": 1e-3, "lateness_cap": 50.0}
+    return data
+
+
+def numeric_paths(node, prefix=()):
+    """Key paths to every number in a JSON-like document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield prefix
+        return
+    for key, child in items:
+        yield from numeric_paths(child, prefix + (key,))
+
+
+RICH_PATHS = list(numeric_paths(rich_scenario_dict()))
+
+
+class TestNonFiniteInput:
+    def test_rich_document_is_valid(self):
+        assert len(RICH_PATHS) > 30
+        scenario_from_dict(rich_scenario_dict())
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_line_rate_tokens_rejected(self, token):
+        text = dumps_scenario(motivation_scenario()).replace(
+            '"line_rate": 4.0', f'"line_rate": {token}'
+        )
+        with pytest.raises(ScenarioError, match="line rate"):
+            loads_scenario(text)
+
+    def test_nan_d_max_rejected(self):
+        data = scenario_to_dict(motivation_scenario())
+        data["requests"][1]["d_max"] = math.nan
+        with pytest.raises(ScenarioError, match="d_max"):
+            scenario_from_dict(data)
+
+    def test_fractional_wavelengths_rejected(self):
+        data = scenario_to_dict(motivation_scenario())
+        data["substrate"]["wavelengths"] = 2.7
+        with pytest.raises(ScenarioError, match="wavelengths must be an integer"):
+            scenario_from_dict(data)
+        data["substrate"]["wavelengths"] = 3.0
+        assert scenario_from_dict(data).substrate.wavelengths == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_scenarios_built_in_code_are_checked(self, bad):
+        sub = line_substrate("v1", "v2")
+        for broken, match in (
+            (dataclasses.replace(sub, delay={e: bad for e in sub.edges}), "delay"),
+            (dataclasses.replace(sub, capacity={"v1": bad}), "capacity"),
+            (dataclasses.replace(sub, line_rate=bad), "line rate"),
+            (dataclasses.replace(sub, wavelengths=2.5), "wavelengths"),
+        ):
+            with pytest.raises(ScenarioError, match=match):
+                broken.validate()
+        tiny = make_tiny()
+        req = tiny.requests[0]
+        for broken, match in (
+            (dataclasses.replace(req, d_max=bad), "d_max"),
+            (dataclasses.replace(req, initial_rates={("s", "f"): bad}), "initial rate"),
+        ):
+            with pytest.raises(ScenarioError, match=match):
+                dataclasses.replace(tiny, requests=(broken,)).validate()
+        weights = dataclasses.replace(tiny.weights, lateness=bad)
+        with pytest.raises(ScenarioError, match="weights"):
+            dataclasses.replace(tiny, weights=weights).validate()
+
+    @given(st.sampled_from(RICH_PATHS), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_any_non_finite_number_is_rejected(self, path, bad):
+        data = rich_scenario_dict()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(ScenarioError):
+            loads_scenario(json.dumps(data))
