@@ -14,7 +14,6 @@ from .approx import (
     build_milp,
     compute_partition,
     eval_gtilde,
-    eval_htilde,
     interpolate_xi,
     minimal_base_points,
     resolve_partitions,

@@ -160,27 +160,6 @@ def eval_gtilde(partition: Partition, x: float) -> float:
     return (1.0 - t) / a + t / b + partition.shift
 
 
-def eval_htilde(partition: Partition, x: float, y: float) -> float:
-    """Perspective form of the interpolation: approximates y/x for y in [0,1].
-
-    With y = 1 this equals eval_gtilde(x); with y = 0 the slack parks on the
-    sentinel segment and the value is 0, matching an inactive queue.
-    """
-    atol = 1e-9 * max(1.0, partition.upper)
-    if y < -atol or y > 1.0 + atol:
-        raise ApproxError(f"activity {y!r} outside [0, 1]")
-    if x < -atol:
-        raise ApproxError(f"slack {x!r} negative")
-    if y <= atol:
-        if x > partition.upper + atol:
-            raise ApproxError(f"slack {x!r} above {partition.upper!r} for inactive queue")
-        return 0.0
-    r = x / y
-    if r >= partition.upper:
-        return y * (1.0 / partition.upper + partition.shift)
-    return y * eval_gtilde(partition, r)
-
-
 def interpolate_xi(partition: Partition, slack: float, active: bool) -> tuple[float, ...]:
     """Canonical SOS2 weights reproducing ``slack`` (and activity) exactly."""
     K = partition.K
@@ -463,5 +442,4 @@ def build_milp(
         if table.dist[(w, wp)]
     ]
     apply_objective(m, scn, ctx, path_terms, objective_part, pinned_objectives)
-    m.check()
     return m

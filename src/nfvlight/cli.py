@@ -365,7 +365,7 @@ def cmd_experiment(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-    done = sum(1 for r in rows if str(r["status"]).startswith(("oracle", "optimal")))
+    done = sum(1 for r in rows if r["status"] in ("oracle_optimal", "optimal"))
     sys.stdout.write(json.dumps({"rows": len(rows), "solved": done, "out": str(out)}) + "\n")
     return 0
 

@@ -662,5 +662,4 @@ def build_miqcp(
     for (w, wp) in pairs_ne:
         path_terms.extend(psi_terms[(w, wp)])
     apply_objective(m, scn, ctx, path_terms, objective_part, pinned_objectives)
-    m.check()
     return m

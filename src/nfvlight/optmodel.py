@@ -1,11 +1,14 @@
 """Solver-agnostic model container with LP/MPS emission and solution parsing.
 
 The container stores variables, linear and bilinear constraints, SOS2 groups
-and a linear objective.  Emission is canonical: entries are sorted by name,
-so two models with the same content produce byte-identical files regardless
-of insertion order.  In memory, bilinear terms keep the order the builder
-gave them; they are merged and sorted only when a canonical view is asked
-for, which LP emission does once per row.
+and a linear objective.  It is valid from construction: each ``add_*``,
+``fix_var`` and ``set_objective`` call rejects unknown variables, empty
+bounds and bilinear terms outside an MIQCP before it stores anything.
+Emission is canonical: entries are sorted by name, so two models with the
+same content produce byte-identical files regardless of insertion order.
+In memory, bilinear terms keep the order the builder gave them; they are
+merged and sorted only when a canonical view is asked for, which LP
+emission does once per row.
 """
 from __future__ import annotations
 
@@ -114,10 +117,14 @@ class Model:
             raise ModelError(f"duplicate variable {name}")
         if binary:
             lb, ub = max(lb, 0.0), 1.0 if ub is None else min(ub, 1.0)
+        if ub is not None and lb > ub + 1e-12:
+            raise ModelError(f"variable {name} has empty bounds")
         self.variables[name] = Variable(name, role, binary, lb, ub)
         return name
 
     def fix_var(self, name: str, value: float) -> None:
+        if name not in self.variables:
+            raise ModelError(f"cannot fix unknown variable {name}")
         self.variables[name] = replace(self.variables[name], lb=value, ub=value)
 
     def add_con(
@@ -133,9 +140,17 @@ class Model:
             raise ModelError(f"duplicate constraint {name}")
         if sense not in ("<=", ">=", "="):
             raise ModelError(f"bad sense {sense!r}")
-        self.constraints[name] = Constraint(
-            name, family, _merge_lin(lin), sense, rhs, tuple(quad)
-        )
+        lin, quad = _merge_lin(lin), tuple(quad)
+        variables = self.variables
+        for _, v in lin:
+            if v not in variables:
+                raise ModelError(f"constraint {name} references unknown variable {v}")
+        for _, a, b in quad:
+            if a not in variables or b not in variables:
+                raise ModelError(f"constraint {name} references unknown variable {a}*{b}")
+        if quad and self.kind != "miqcp":
+            raise ModelError(f"bilinear terms in {name} are only allowed in MIQCP models")
+        self.constraints[name] = Constraint(name, family, lin, sense, rhs, quad)
         return name
 
     def add_sos2(self, name: str, members) -> str:
@@ -144,37 +159,21 @@ class Model:
             raise ModelError(f"duplicate SOS2 set {name}")
         if len(members) < 2:
             raise ModelError(f"SOS2 set {name} needs at least two members")
+        for v in members:
+            if v not in self.variables:
+                raise ModelError(f"SOS2 set {name} references unknown variable {v}")
         self.sos2[name] = SOS2Set(name, members)
         return name
 
     def set_objective(self, terms, sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise ModelError(f"bad objective sense {sense!r}")
-        self.objective = _merge_lin(terms)
-        self.sense = sense
-
-    # -- integrity ----------------------------------------------------------
-
-    def check(self) -> None:
-        for con in self.constraints.values():
-            for _, v in con.lin:
-                if v not in self.variables:
-                    raise ModelError(f"constraint {con.name} references unknown variable {v}")
-            for _, a, b in con.bilinear:
-                if a not in self.variables or b not in self.variables:
-                    raise ModelError(f"constraint {con.name} references unknown variable {a}*{b}")
-            if con.bilinear and self.kind != "miqcp":
-                raise ModelError(f"bilinear terms in {con.name} are only allowed in MIQCP models")
-        for s in self.sos2.values():
-            for v in s.members:
-                if v not in self.variables:
-                    raise ModelError(f"SOS2 set {s.name} references unknown variable {v}")
-        for _, v in self.objective:
+        terms = _merge_lin(terms)
+        for _, v in terms:
             if v not in self.variables:
                 raise ModelError(f"objective references unknown variable {v}")
-        for var in self.variables.values():
-            if var.ub is not None and var.lb > var.ub + 1e-12:
-                raise ModelError(f"variable {var.name} has empty bounds")
+        self.objective = terms
+        self.sense = sense
 
 
 def model_stats(model: Model) -> dict:
@@ -250,7 +249,6 @@ def _lp_terms(lin, quad) -> str:
 
 
 def emit_lp(model: Model) -> str:
-    model.check()
     out: list[str] = []
     out.append("\\ " + model.name)
     out.append("Minimize" if model.sense == "min" else "Maximize")
@@ -289,7 +287,6 @@ def emit_lp(model: Model) -> str:
 
 
 def emit_mps(model: Model) -> str:
-    model.check()
     if any(con.bilinear for con in model.constraints.values()):
         raise ModelError("quadratic constraints unsupported in MPS emission")
     out: list[str] = []

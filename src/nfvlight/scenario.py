@@ -420,13 +420,28 @@ class Scenario:
             raise ScenarioError("shift_mode must be 'zero' or 'balanced'", invariant="approx")
         if not _positive(ap.error_target):
             raise ScenarioError("error target must be positive and finite", invariant="approx")
-        settings = [self.big_m.lambda_min, self.big_m.lateness_cap]
+        for v in ap.processing_by_vertex:
+            if v not in self.substrate.vertices:
+                raise ScenarioError(
+                    f"approx.processing_by_vertex names unknown vertex {v!r}", invariant="approx"
+                )
+        bm = self.big_m
+        settings = [bm.lambda_min, bm.lateness_cap]
         for qa in (ap.forwarding, ap.processing, *ap.processing_by_vertex.values()):
             settings += [qa.eps, qa.upper]
+            n = qa.base_points
+            if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 2):
+                raise ScenarioError(
+                    f"base_points must be an integer >= 2, got {n!r}", invariant="approx"
+                )
         if any(x is not None and not math.isfinite(x) for x in settings):
             raise ScenarioError(
                 "approximation and big-M settings must be finite", invariant="approx"
             )
+        if bm.lambda_min is not None and bm.lambda_min <= 0:
+            raise ScenarioError("big_m.lambda_min must be positive", invariant="approx")
+        if bm.lateness_cap is not None and bm.lateness_cap < 0:
+            raise ScenarioError("big_m.lateness_cap must be nonnegative", invariant="approx")
         return warnings
 
     @property

@@ -106,6 +106,22 @@ class TestBuild:
         assert err["error"] == "ModelError"
         assert "quadratic constraints unsupported in MPS emission" in err["message"]
 
+    def test_bad_base_points_is_a_scenario_error(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "p0.json").read_text())
+        doc["approx"] = {"forwarding": {"base_points": 0}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([
+            "build", "--scenario", str(path), "--formulation", "milp", "--stats",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "ScenarioError",
+            "message": "base_points must be an integer >= 2, got 0",
+        }
+
 
 class TestSolve:
     def test_adapter_round_trip(self, workdir, capsys):
@@ -293,6 +309,19 @@ class TestExperiment:
         by_mode = {r["mode"]: float(r["lateness"]) for r in rows if r["perm"] == "0"}
         assert by_mode["joint"] == 2.2546099290780144
         assert by_mode["fixed"] == 4.3546099290780145
+
+    def test_aborted_oracle_search_is_not_counted_as_solved(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("NFVLIGHT_SOLVER", raising=False)
+        out = tmp_path / "aborted.csv"
+        assert main([
+            "experiment", "--topology", "barbell6", "--permutations", "0",
+            "--modes", "joint", "--max-seconds", "0", "--workers", "1", "--out", str(out),
+        ]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "rows": 1, "solved": 0, "out": str(out),
+        }
+        [row] = csv.DictReader(out.open())
+        assert row["status"] == "oracle_uncertified"
 
     def test_bad_permutation_spec(self, tmp_path, capsys):
         assert main([

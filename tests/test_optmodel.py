@@ -1,10 +1,15 @@
 """Model IR: construction rules, LP/MPS emission, solution parsing."""
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfvlight import build_milp, build_miqcp
 from nfvlight.optmodel import (
+    BOUND_TOLERANCE,
     Model,
     ModelError,
     SolutionError,
@@ -29,7 +34,6 @@ def golden_miqcp() -> Model:
     m.add_con("pin", "objective_pin", [(1.0, "x")], "=", 1.5)
     m.add_sos2("interp", ("x", "free"))
     m.set_objective([(1.0, "x"), (-3.0, "free")], "min")
-    m.check()
     return m
 
 
@@ -39,7 +43,6 @@ def golden_milp() -> Model:
     m.add_var("b", "z", binary=True)
     m.add_con("cap", "lightpath_capacity", [(1.0, "x"), (-2.5, "b")], "<=", 4.0)
     m.set_objective([(1.0, "x")], "max")
-    m.check()
     return m
 
 
@@ -135,23 +138,42 @@ class TestConstruction:
     def test_check_catches_unknown_references(self):
         m = Model("milp")
         m.add_var("a", "lam")
-        m.add_con("c", "delay", [(1.0, "ghost")], "<=", 1.0)
         with pytest.raises(ModelError, match="unknown variable"):
-            m.check()
+            m.add_con("c", "delay", [(1.0, "ghost")], "<=", 1.0)
 
     def test_check_rejects_bilinear_terms_outside_miqcp(self):
         m = Model("milp")
         m.add_var("a", "lam")
         m.add_var("b", "z", binary=True)
-        m.add_con("c", "delay", [], "<=", 1.0, quad=[(1.0, "a", "b")])
         with pytest.raises(ModelError, match="only allowed in MIQCP"):
-            m.check()
+            m.add_con("c", "delay", [], "<=", 1.0, quad=[(1.0, "a", "b")])
 
     def test_check_rejects_empty_bounds(self):
         m = Model("milp")
-        m.add_var("a", "lam", lb=2.0, ub=1.0)
         with pytest.raises(ModelError, match="empty bounds"):
-            m.check()
+            m.add_var("a", "lam", lb=2.0, ub=1.0)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda m: m.add_con("c", "delay", [(1.0, "x"), (1.0, "ghost")], "<=", 1.0),
+             "constraint c references unknown variable ghost"),
+            (lambda m: m.add_con("c", "delay", [(1.0, "x")], "<=", 1.0, quad=[(1.0, "x", "ghost")]),
+             r"constraint c references unknown variable x\*ghost"),
+            (lambda m: m.add_sos2("s", ("x", "ghost")), "SOS2 set s references unknown variable ghost"),
+            (lambda m: m.set_objective([(1.0, "ghost")], "max"),
+             "objective references unknown variable ghost"),
+            (lambda m: m.fix_var("ghost", 1.0), "cannot fix unknown variable ghost"),
+        ],
+        ids=["linear", "bilinear", "sos2", "objective", "fix_var"],
+    )
+    def test_unknown_names_rejected_at_the_call_without_side_effects(self, call, match):
+        m = golden_miqcp()
+        state = lambda: (dict(m.variables), dict(m.constraints), dict(m.sos2), m.objective, m.sense)
+        before = state()
+        with pytest.raises(ModelError, match=match):
+            call(m)
+        assert state() == before
 
 
 class TestEvaluation:
@@ -306,3 +328,32 @@ class TestSolutionParsing:
         value = 2.2546099290780144
         asg = parse_solution(f"x {value!r}\n", m)
         assert asg.values["x"] == value
+
+
+_numbers = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1.5", "0.5", "1", "1.0000001", "6"]),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+_solution_lines = st.one_of(
+    st.tuples(st.sampled_from(["x", "b", "free", "ghost"]), _numbers).map(" ".join),
+    _numbers.map("# Objective value = {}".format),
+    st.text(max_size=20),
+)
+
+
+@given(st.lists(_solution_lines, max_size=4))
+@settings(max_examples=300)
+def test_parse_solution_accepts_only_finite_in_bound_values(lines):
+    m = golden_miqcp()
+    try:
+        result = parse_solution("\n".join(lines), m)
+    except SolutionError:
+        return
+    assert set(result.values) == set(m.variables)
+    assert result.objective is None or math.isfinite(result.objective)
+    for name, val in result.values.items():
+        var = m.variables[name]
+        assert math.isfinite(val)
+        assert val >= var.lb - BOUND_TOLERANCE
+        assert var.ub is None or val <= var.ub + BOUND_TOLERANCE

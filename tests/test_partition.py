@@ -11,7 +11,6 @@ from nfvlight import (
     ApproxError,
     compute_partition,
     eval_gtilde,
-    eval_htilde,
     interpolate_xi,
     minimal_base_points,
 )
@@ -102,23 +101,6 @@ class TestInterpolation:
             eval_gtilde(part, 0.5)
         with pytest.raises(ApproxError, match="outside"):
             eval_gtilde(part, 4.5)
-
-    def test_htilde_perspective_scaling(self):
-        part = compute_partition(1.0, 4.0, 6)
-        assert eval_htilde(part, 2.0, 1.0) == pytest.approx(eval_gtilde(part, 2.0))
-        assert eval_htilde(part, 1.0, 0.5) == pytest.approx(0.5 * eval_gtilde(part, 2.0))
-        assert eval_htilde(part, 3.0, 0.0) == 0.0
-        # slack beyond upper parks on the sentinel at the boundary value
-        assert eval_htilde(part, 3.9, 0.5) == pytest.approx(0.5 / 4.0)
-
-    def test_htilde_rejects_bad_arguments(self):
-        part = compute_partition(1.0, 4.0, 6)
-        with pytest.raises(ApproxError, match="activity"):
-            eval_htilde(part, 1.0, 1.5)
-        with pytest.raises(ApproxError, match="negative"):
-            eval_htilde(part, -1.0, 0.5)
-        with pytest.raises(ApproxError, match="inactive"):
-            eval_htilde(part, 5.0, 0.0)
 
     @given(windows, st.integers(min_value=2, max_value=12), st.floats(0.0, 1.0))
     @settings(max_examples=300, deadline=None)

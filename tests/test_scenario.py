@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nfvlight import (
     ForwardingGraph,
+    QueueApprox,
     Request,
     Scenario,
     ScenarioError,
@@ -355,3 +356,46 @@ class TestNonFiniteInput:
         node[path[-1]] = bad
         with pytest.raises(ScenarioError):
             loads_scenario(json.dumps(data))
+
+
+class TestApproxAndBigMSettings:
+    """Settings the builders would otherwise reject late, or silently ignore."""
+
+    @pytest.mark.parametrize("bad", [3.0, True, 1, 0, -2])
+    def test_base_points_must_be_an_integer_of_at_least_two(self, bad):
+        tiny = make_tiny()
+        approx = dataclasses.replace(tiny.approx, forwarding=QueueApprox(base_points=bad))
+        with pytest.raises(ScenarioError, match="base_points must be an integer >= 2"):
+            dataclasses.replace(tiny, approx=approx).validate()
+
+    @pytest.mark.parametrize("key", ["forwarding", "processing"])
+    def test_zero_base_points_in_json_rejected(self, key):
+        data = scenario_to_dict(motivation_scenario())
+        data["approx"] = {key: {"base_points": 0}}
+        with pytest.raises(ScenarioError, match="base_points"):
+            scenario_from_dict(data)
+
+    def test_processing_by_vertex_for_an_unknown_vertex_rejected(self):
+        data = rich_scenario_dict()
+        data["approx"]["processing_by_vertex"] = {"v99": {"base_points": 3}}
+        with pytest.raises(ScenarioError, match="unknown vertex 'v99'"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "big_m, match",
+        [
+            ({"lambda_min": 0.0}, "lambda_min must be positive"),
+            ({"lambda_min": -1e-3}, "lambda_min must be positive"),
+            ({"lateness_cap": -1.0}, "lateness_cap must be nonnegative"),
+        ],
+    )
+    def test_big_m_settings_checked(self, big_m, match):
+        data = scenario_to_dict(make_tiny())
+        data["big_m"] = big_m
+        with pytest.raises(ScenarioError, match=match):
+            scenario_from_dict(data)
+
+    def test_zero_lateness_cap_accepted(self):
+        data = scenario_to_dict(make_tiny())
+        data["big_m"] = {"lateness_cap": 0.0}
+        assert scenario_from_dict(data).big_m.lateness_cap == 0.0
