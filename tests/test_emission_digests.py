@@ -2,11 +2,14 @@
 
 Refactors of the builders must leave every emitted byte unchanged, so these
 digests are fixed, not regenerated.  The default path6 perm0 models are
-guarded by the benchmark's own expected digests and are not repeated here.
+checked against the benchmark's own expected digests in
+``perfbench/expected.json``, which this test reads and never writes.
 """
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +63,17 @@ def test_emitted_text_matches_golden_digest(case, request):
     for fmt, emit in emitters.items():
         digest = hashlib.sha256(emit(model).encode()).hexdigest()
         assert digest == DIGESTS[f"{case}-{fmt}"], f"{case}-{fmt}"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_default_perm0_files_match_the_benchmark_digests(perm0):
+    expected = Path(__file__).parent.parent / "perfbench" / "expected.json"
+    milp = build_milp(perm0)
+    assert {
+        "perm0-milp-lp": _sha256(emit_lp(milp)),
+        "perm0-milp-mps": _sha256(emit_mps(milp)),
+        "perm0-miqcp-lp": _sha256(emit_lp(build_miqcp(perm0))),
+    } == json.loads(expected.read_text())["model_sha256"]

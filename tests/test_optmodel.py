@@ -272,6 +272,116 @@ class TestEmission:
         assert "Binary" in text
 
 
+def edge_miqcp() -> Model:
+    """Rows and bounds whose text depends on how each number is formatted."""
+    m = Model("miqcp", name="edges")
+    m.add_var("a", "lam", lb=-1.0, ub=-0.0)
+    m.add_var("a_b", "eta", ub=math.inf)
+    m.add_var("a.b", "mu", lb=-0.0, ub=0.0)
+    m.add_var("b", "z", binary=True)
+    m.add_var("c", "x3", lb=-2.5)
+    m.add_var("d", "x3", lb=1, ub=1e16)
+    m.add_con("cancel", "delay", [(2, "c")], "<=", 1.0, quad=[(1.5, "a", "b"), (-1.5, "b", "a")])
+    m.add_con("empty", "delay", [], "<=", -0.0)
+    m.add_con(
+        "mixed", "delay", [(2, "a"), (2.0, "c"), (-0.5, "a_b"), (1e-07, "d")], ">=", 3,
+        quad=[(2, "a_b", "a"), (2.0, "a.b", "a"), (-1, "b", "b"), (0.25, "a", "a_b"),
+              (0.1 + 0.2, "b", "a.b")],
+    )
+    m.set_objective([(1, "c"), (-1.0, "a_b")], "min")
+    return m
+
+
+def edge_milp() -> Model:
+    m = Model("milp", name="edges")
+    m.add_var("x", "lam", lb=-0.0, ub=4.0)
+    m.add_var("y", "mu", lb=-3.0, ub=-0.0)
+    m.add_var("f", "x3")
+    m.fix_var("f", -0.0)
+    m.add_var("b", "z", binary=True)
+    m.add_var("b2", "z", binary=True)
+    m.fix_var("b2", -0.0)
+    m.add_var("z0", "x3", lb=-1.0, ub=0.0)
+    m.add_con("r1", "delay", [(0.5, "x"), (0.5, "y"), (-2, "z0")], "<=", -0.0)
+    m.add_con("r2", "delay", [(0.5, "x"), (-1.5, "b"), (0.5, "b2")], ">=", 2)
+    m.add_con("r3", "delay", [(0.5, "f"), (-2.0, "z0")], "=", 1.25)
+    m.add_sos2("s", ("x", "y", "f"))
+    m.set_objective([(0.5, "x"), (1, "y")], "max")
+    return m
+
+
+# Both texts were recorded from the emitter that formatted every number with
+# repr one by one; -0.0 prints as -0 and 0.0 as 0 in the same file.
+EDGE_LP = """\
+\\ edges
+Minimize
+ obj: - 1 a_b + 1 c
+Subject To
+ cancel: 2 c <= 1
+ empty: 0  <= -0
+ mixed: 2 a - 0.5 a_b + 2 c + 1e-07 d + [ + 2 a * a.b + 2.25 a * a_b + 0.30000000000000004 a.b * b - 1 b * b ] >= 3
+Bounds
+ -1 <= a <= -0
+ a.b = -0
+ 0 <= a_b <= inf
+ c >= -2.5
+ 1 <= d <= 1e+16
+Binary
+ b
+End
+"""
+
+EDGE_MPS = """\
+NAME          edges
+OBJSENSE
+    MAX
+ROWS
+ N  obj
+ L  r1
+ G  r2
+ E  r3
+COLUMNS
+    MARKER0000  'MARKER'                 'INTORG'
+    b  r2  -1.5
+    b2  r2  0.5
+    MARKER0001  'MARKER'                 'INTEND'
+    f  r3  0.5
+    x  obj  0.5
+    x  r1  0.5
+    x  r2  0.5
+    y  obj  1
+    y  r1  0.5
+    z0  r1  -2
+    z0  r3  -2
+RHS
+    RHS  r2  2
+    RHS  r3  1.25
+BOUNDS
+ BV BND  b
+ FX BND  b2  -0
+ FX BND  f  -0
+ UP BND  x  4
+ LO BND  y  -3
+ UP BND  y  -0
+ LO BND  z0  -1
+ UP BND  z0  0
+SOS
+ S2 SOS  s
+    x  1
+    y  2
+    f  3
+ENDATA
+"""
+
+
+class TestEmissionEdgeCases:
+    def test_lp_text_of_cancelled_empty_and_signed_zero_rows(self):
+        assert emit_lp(edge_miqcp()) == EDGE_LP
+
+    def test_mps_text_of_signed_zero_bounds_and_repeated_coefficients(self):
+        assert emit_mps(edge_milp()) == EDGE_MPS
+
+
 class TestSolutionParsing:
     def test_values_comment_and_objective(self):
         m = golden_miqcp()
@@ -357,3 +467,62 @@ def test_parse_solution_accepts_only_finite_in_bound_values(lines):
         assert math.isfinite(val)
         assert val >= var.lb - BOUND_TOLERANCE
         assert var.ub is None or val <= var.ub + BOUND_TOLERANCE
+
+
+def _reference_merge(terms):
+    """Tuple-keyed merge: pairs ordered, summed in input order, zeros dropped, sorted."""
+    acc = {}
+    for coef, a, b in terms:
+        key = (a, b) if a <= b else (b, a)
+        acc[key] = acc.get(key, 0.0) + coef
+    return tuple((c, a, b) for (a, b), c in sorted(acc.items()) if c != 0.0)
+
+
+def _lp_number(x):
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
+# Names share prefixes ("a", "a_b", "a.b", "a,") so that string and tuple
+# order could disagree if the separator were compared wrongly.
+_names = st.text(alphabet="ab._{},0", min_size=1, max_size=4)
+
+
+@st.composite
+def _bilinear_rows(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+    pair = st.tuples(
+        st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1, 1.5, 0.1]),
+        st.sampled_from(names),
+        st.sampled_from(names),
+    )
+    terms = draw(st.lists(pair, max_size=8))
+    extra = []
+    for coef, a, b in terms:
+        shape = draw(st.sampled_from(["keep", "swap", "cancel"]))
+        if shape == "swap":
+            extra.append((coef, b, a))
+        elif shape == "cancel":
+            extra.append((-coef, b, a))
+    order = draw(st.permutations(terms + extra))
+    return names, list(order)
+
+
+@given(_bilinear_rows())
+@settings(max_examples=300)
+def test_quad_equals_tuple_keyed_merge(row):
+    names, terms = row
+    m = Model("miqcp", name="prop")
+    for v in names:
+        m.add_var(v, "lam")
+    m.add_con("row", "delay", [], "<=", 1.0, quad=terms)
+    quad = _reference_merge(terms)
+    assert m.constraints["row"].quad == quad
+    text = emit_lp(m)
+    if quad:
+        bracket = " ".join(
+            f"{'-' if c < 0 else '+'} {_lp_number(abs(c))} {a} * {b}" for c, a, b in quad
+        )
+        assert f" row: [ {bracket} ] <= 1\n" in text
+    else:
+        assert " row: 0  <= 1\n" in text
