@@ -265,6 +265,7 @@ def build_milp(
     pinned_objectives=(),
 ) -> Model:
     """Compile the wavelength-assignment-only piecewise-linear formulation."""
+    scn.validate()
     sub = scn.substrate
     V = sub.vertices
     gammas = range(sub.wavelengths)

@@ -453,6 +453,7 @@ def build_miqcp(
     pinned_objectives=(),
 ) -> Model:
     """Compile the exact formulation with full lightpath routing variables."""
+    scn.validate()
     sub = scn.substrate
     V = sub.vertices
     gammas = range(sub.wavelengths)

@@ -54,7 +54,11 @@ class Constraint:
         Recomputed on every read, so that the model never holds a second copy
         of the terms; order-insensitive readers use ``bilinear`` instead.
         """
-        return _merge_quad(self.bilinear)
+        quad = []
+        for key, coef in _bilinear_sums(self.bilinear):
+            a, _, b = key.partition(" * ")
+            quad.append((coef, a, b))
+        return tuple(quad)
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,20 @@ def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
     return tuple((c, v) for v, c in sorted(acc.items()) if c != 0.0)
 
 
-def _merge_quad(terms) -> tuple[tuple[float, str, str], ...]:
-    acc: dict[tuple[str, str], float] = {}
+def _bilinear_sums(terms) -> list[tuple[str, float]]:
+    """Merge bilinear terms by the key ``"a * b"``, smaller name first.
+
+    Returns ``(key, coefficient)`` pairs sorted by key, zero sums dropped.
+    Coefficients are summed in the order given.  Key order is ``(a, b)``
+    tuple order because no variable name holds a character at or below a
+    space (see ``Model.add_var``).
+    """
+    acc: dict[str, float] = {}
+    get = acc.get
     for coef, a, b in terms:
-        key = (a, b) if a <= b else (b, a)
-        acc[key] = acc.get(key, 0.0) + coef
-    return tuple((c, a, b) for (a, b), c in sorted(acc.items()) if c != 0.0)
+        key = f"{a} * {b}" if a <= b else f"{b} * {a}"
+        acc[key] = get(key, 0.0) + coef
+    return [(key, acc[key]) for key in sorted(acc) if acc[key] != 0.0]
 
 
 class Model:
@@ -113,6 +125,11 @@ class Model:
     ) -> str:
         if role not in ROLE_TAGS:
             raise ModelError(f"unknown variable role {role!r}")
+        # LP/MPS separate fields with spaces, and emission orders bilinear
+        # pairs by their "a * b" text, which is (a, b) order only when no
+        # name holds a character at or below a space.
+        if not name or " " in name or not name.isprintable():
+            raise ModelError(f"variable name {name!r} is empty, has a space or is not printable")
         if name in self.variables:
             raise ModelError(f"duplicate variable {name}")
         if binary:
@@ -231,17 +248,33 @@ def _num(x: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _lp_terms(lin, quad) -> str:
-    parts: list[str] = []
-    for coef, v in lin:
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_num(abs(coef))} {v}")
-    if quad:
-        qparts = []
-        for coef, a, b in quad:
-            sign = "-" if coef < 0 else "+"
-            qparts.append(f"{sign} {_num(abs(coef))} {a} * {b}")
-        parts.append("+ [ " + " ".join(qparts) + " ]")
+class _NumText(dict):
+    """Number -> ``_num`` text, formatted once per distinct value.
+
+    Equal numbers share one key, so ``0.0`` and ``-0.0`` would share one
+    text; emitters send zero bounds and right-hand sides to ``_num``.
+    Coefficients are never zero, because merging drops zero sums.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = _num(x)
+        return text
+
+
+class _SignedText(dict):
+    """Nonzero LP coefficient -> its signed prefix, such as ``"+ 1 "``."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = ("- " if x < 0 else "+ ") + _num(abs(x)) + " "
+        return text
+
+
+def _lp_row(signed: _SignedText, lin, bilinear) -> str:
+    parts = [signed[c] + v for c, v in lin]
+    if bilinear:
+        pairs = _bilinear_sums(bilinear)
+        if pairs:
+            parts.append("+ [ " + " ".join([signed[c] + key for key, c in pairs]) + " ]")
     if not parts:
         return "0 "
     text = " ".join(parts)
@@ -249,29 +282,36 @@ def _lp_terms(lin, quad) -> str:
 
 
 def emit_lp(model: Model) -> str:
+    nums, signed = _NumText(), _SignedText()
+
+    def num(x: float) -> str:
+        return nums[x] if x else _num(x)
+
     out: list[str] = []
     out.append("\\ " + model.name)
     out.append("Minimize" if model.sense == "min" else "Maximize")
-    out.append(" obj: " + _lp_terms(model.objective, ()))
+    out.append(" obj: " + _lp_row(signed, model.objective, ()))
     out.append("Subject To")
-    for name in sorted(model.constraints):
-        con = model.constraints[name]
-        out.append(f" {name}: {_lp_terms(con.lin, con.quad)} {con.sense} {_num(con.rhs)}")
+    constraints = model.constraints
+    for name in sorted(constraints):
+        con = constraints[name]
+        out.append(f" {name}: {_lp_row(signed, con.lin, con.bilinear)} {con.sense} {num(con.rhs)}")
     out.append("Bounds")
-    for name in sorted(model.variables):
-        var = model.variables[name]
+    variables = model.variables
+    for name in sorted(variables):
+        var = variables[name]
         if var.binary:
             if var.lb == var.ub:
-                out.append(f" {name} = {_num(var.lb)}")
+                out.append(f" {name} = {num(var.lb)}")
             continue
         if var.ub is None:
             if var.lb != 0.0:
-                out.append(f" {name} >= {_num(var.lb)}")
+                out.append(f" {name} >= {num(var.lb)}")
         elif var.lb == var.ub:
-            out.append(f" {name} = {_num(var.lb)}")
+            out.append(f" {name} = {num(var.lb)}")
         else:
-            out.append(f" {_num(var.lb)} <= {name} <= {_num(var.ub)}")
-    binaries = sorted(n for n, v in model.variables.items() if v.binary)
+            out.append(f" {num(var.lb)} <= {name} <= {num(var.ub)}")
+    binaries = sorted(n for n, v in variables.items() if v.binary)
     if binaries:
         out.append("Binary")
         for name in binaries:
@@ -289,6 +329,11 @@ def emit_lp(model: Model) -> str:
 def emit_mps(model: Model) -> str:
     if any(con.bilinear for con in model.constraints.values()):
         raise ModelError("quadratic constraints unsupported in MPS emission")
+    nums = _NumText()
+
+    def num(x: float) -> str:
+        return nums[x] if x else _num(x)
+
     out: list[str] = []
     out.append(f"NAME          {model.name}")
     if model.sense == "max":
@@ -297,56 +342,60 @@ def emit_mps(model: Model) -> str:
     out.append("ROWS")
     out.append(" N  obj")
     senses = {"<=": "L", ">=": "G", "=": "E"}
-    for name in sorted(model.constraints):
-        out.append(f" {senses[model.constraints[name].sense]}  {name}")
-    # column-major coefficient table
-    cols: dict[str, list[tuple[str, float]]] = {n: [] for n in model.variables}
+    constraints = model.constraints
+    rows = sorted(constraints)
+    for name in rows:
+        out.append(f" {senses[constraints[name].sense]}  {name}")
+    # column-major coefficient table, each entry the text after the column name
+    cols: dict[str, list[str]] = {n: [] for n in model.variables}
     for coef, v in model.objective:
-        cols[v].append(("obj", coef))
-    for name in sorted(model.constraints):
-        for coef, v in model.constraints[name].lin:
-            cols[v].append((name, coef))
+        cols[v].append("  obj  " + nums[coef])
+    for name in rows:
+        row = "  " + name + "  "
+        for coef, v in constraints[name].lin:
+            cols[v].append(row + nums[coef])
     out.append("COLUMNS")
     marker = 0
     in_int = False
-    for vname in sorted(model.variables):
-        var = model.variables[vname]
+    variables = model.variables
+    for vname in sorted(variables):
+        var = variables[vname]
         if var.binary != in_int:
             kind = "INTORG" if var.binary else "INTEND"
             out.append(f"    MARKER{marker:04d}  'MARKER'                 '{kind}'")
             marker += 1
             in_int = var.binary
-        for row, coef in cols[vname]:
-            out.append(f"    {vname}  {row}  {_num(coef)}")
+        head = "    " + vname
+        out.extend([head + entry for entry in cols[vname]])
     if in_int:
         out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
     out.append("RHS")
-    for name in sorted(model.constraints):
-        rhs = model.constraints[name].rhs
+    for name in rows:
+        rhs = constraints[name].rhs
         if rhs != 0.0:
-            out.append(f"    RHS  {name}  {_num(rhs)}")
+            out.append(f"    RHS  {name}  {num(rhs)}")
     out.append("BOUNDS")
-    for vname in sorted(model.variables):
-        var = model.variables[vname]
+    for vname in sorted(variables):
+        var = variables[vname]
         if var.binary:
             if var.lb == var.ub:
-                out.append(f" FX BND  {vname}  {_num(var.lb)}")
+                out.append(f" FX BND  {vname}  {num(var.lb)}")
             else:
                 out.append(f" BV BND  {vname}")
             continue
         if var.ub is not None and var.lb == var.ub:
-            out.append(f" FX BND  {vname}  {_num(var.lb)}")
+            out.append(f" FX BND  {vname}  {num(var.lb)}")
             continue
         if var.lb != 0.0:
-            out.append(f" LO BND  {vname}  {_num(var.lb)}")
+            out.append(f" LO BND  {vname}  {num(var.lb)}")
         if var.ub is not None:
-            out.append(f" UP BND  {vname}  {_num(var.ub)}")
+            out.append(f" UP BND  {vname}  {num(var.ub)}")
     if model.sos2:
         out.append("SOS")
         for sidx, name in enumerate(sorted(model.sos2)):
             out.append(f" S2 SOS  {name}")
             for i, v in enumerate(model.sos2[name].members):
-                out.append(f"    {v}  {_num(float(i + 1))}")
+                out.append(f"    {v}  {num(float(i + 1))}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 

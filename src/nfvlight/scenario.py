@@ -49,8 +49,11 @@ def _positive(x: float) -> bool:
 
 
 def _integer(raw: object, where: str) -> int:
-    """An integer field; ``int()`` alone would truncate 2.7 to 2."""
-    if isinstance(raw, float) and not raw.is_integer():
+    """An integer field, given as a JSON integer or an integral float.
+
+    ``int()`` alone would truncate 2.7 to 2, read ``true`` as 1 and ``"3"`` as 3.
+    """
+    if isinstance(raw, (bool, str)) or (isinstance(raw, float) and not raw.is_integer()):
         raise ScenarioError(f"{where} must be an integer, got {raw!r}", invariant="schema")
     return int(raw)
 

@@ -122,6 +122,22 @@ class TestBuild:
             "message": "base_points must be an integer >= 2, got 0",
         }
 
+    def test_boolean_wavelengths_is_a_scenario_error(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "p0.json").read_text())
+        doc["substrate"]["wavelengths"] = True
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([
+            "build", "--scenario", str(path), "--formulation", "milp", "--stats",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "ScenarioError",
+            "message": "substrate.wavelengths must be an integer, got True",
+        }
+
 
 class TestSolve:
     def test_adapter_round_trip(self, workdir, capsys):

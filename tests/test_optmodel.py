@@ -175,6 +175,14 @@ class TestConstruction:
             call(m)
         assert state() == before
 
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\nb", "a * b"])
+    def test_variable_names_that_lp_and_mps_cannot_carry_are_rejected(self, name):
+        m = golden_miqcp()
+        before = dict(m.variables)
+        with pytest.raises(ModelError, match="variable name"):
+            m.add_var(name, "lam")
+        assert m.variables == before
+
 
 class TestEvaluation:
     def test_constraint_lhs_includes_quadratic_part(self):

@@ -16,6 +16,8 @@ from nfvlight import (
     Scenario,
     ScenarioError,
     SubstrateNetwork,
+    build_milp,
+    build_miqcp,
     builtin_topology,
     dumps_scenario,
     load_scenario,
@@ -399,3 +401,37 @@ class TestApproxAndBigMSettings:
         data = scenario_to_dict(make_tiny())
         data["big_m"] = {"lateness_cap": 0.0}
         assert scenario_from_dict(data).big_m.lateness_cap == 0.0
+
+    @pytest.mark.parametrize("build", [build_miqcp, build_milp])
+    def test_builders_validate_the_scenario(self, build):
+        tiny = make_tiny()
+        approx = dataclasses.replace(tiny.approx, forwarding=QueueApprox(base_points=3.0))
+        with pytest.raises(ScenarioError, match="base_points must be an integer >= 2"):
+            build(dataclasses.replace(tiny, approx=approx))
+
+
+class TestIntegerFields:
+    """JSON integers only: ``int()`` would read ``true`` as 1 and ``"3"`` as 3."""
+
+    @pytest.mark.parametrize("bad", [True, False, "3", "2.0"])
+    def test_wavelengths_must_be_a_number(self, bad):
+        data = scenario_to_dict(motivation_scenario())
+        data["substrate"]["wavelengths"] = bad
+        with pytest.raises(ScenarioError, match="substrate.wavelengths must be an integer"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["forwarding", "processing"])
+    @pytest.mark.parametrize("bad", [True, "3"])
+    def test_base_points_must_be_a_number(self, key, bad):
+        data = scenario_to_dict(motivation_scenario())
+        data["approx"] = {key: {"base_points": bad}}
+        with pytest.raises(ScenarioError, match=f"approx.{key}.base_points must be an integer"):
+            scenario_from_dict(data)
+
+    def test_integral_numbers_accepted(self):
+        data = scenario_to_dict(motivation_scenario())
+        data["substrate"]["wavelengths"] = 3
+        data["approx"] = {"forwarding": {"base_points": 4.0}}
+        scn = scenario_from_dict(data)
+        assert scn.substrate.wavelengths == 3
+        assert scn.approx.forwarding.base_points == 4
