@@ -249,16 +249,19 @@ def _num(x: float) -> str:
 
 
 class _NumText(dict):
-    """Number -> ``_num`` text, formatted once per distinct value.
+    """Number -> ``_num`` text, each distinct value formatted once.
 
-    Equal numbers share one key, so ``0.0`` and ``-0.0`` would share one
-    text; emitters send zero bounds and right-hand sides to ``_num``.
-    Coefficients are never zero, because merging drops zero sums.
+    Index it with a coefficient, which merging keeps nonzero.  Call it with
+    a bound or a right-hand side: ``0.0`` and ``-0.0`` are one key but print
+    as ``0`` and ``-0``, so zeros go to ``_num`` every time.
     """
 
     def __missing__(self, x: float) -> str:
         text = self[x] = _num(x)
         return text
+
+    def __call__(self, x: float) -> str:
+        return self[x] if x else _num(x)
 
 
 class _SignedText(dict):
@@ -282,24 +285,18 @@ def _lp_row(signed: _SignedText, lin, bilinear) -> str:
 
 
 def emit_lp(model: Model) -> str:
-    nums, signed = _NumText(), _SignedText()
-
-    def num(x: float) -> str:
-        return nums[x] if x else _num(x)
-
+    num, signed = _NumText(), _SignedText()
     out: list[str] = []
     out.append("\\ " + model.name)
     out.append("Minimize" if model.sense == "min" else "Maximize")
     out.append(" obj: " + _lp_row(signed, model.objective, ()))
     out.append("Subject To")
-    constraints = model.constraints
-    for name in sorted(constraints):
-        con = constraints[name]
+    for name in sorted(model.constraints):
+        con = model.constraints[name]
         out.append(f" {name}: {_lp_row(signed, con.lin, con.bilinear)} {con.sense} {num(con.rhs)}")
     out.append("Bounds")
-    variables = model.variables
-    for name in sorted(variables):
-        var = variables[name]
+    for name in sorted(model.variables):
+        var = model.variables[name]
         if var.binary:
             if var.lb == var.ub:
                 out.append(f" {name} = {num(var.lb)}")
@@ -311,7 +308,7 @@ def emit_lp(model: Model) -> str:
             out.append(f" {name} = {num(var.lb)}")
         else:
             out.append(f" {num(var.lb)} <= {name} <= {num(var.ub)}")
-    binaries = sorted(n for n, v in variables.items() if v.binary)
+    binaries = sorted(n for n, v in model.variables.items() if v.binary)
     if binaries:
         out.append("Binary")
         for name in binaries:
@@ -329,11 +326,7 @@ def emit_lp(model: Model) -> str:
 def emit_mps(model: Model) -> str:
     if any(con.bilinear for con in model.constraints.values()):
         raise ModelError("quadratic constraints unsupported in MPS emission")
-    nums = _NumText()
-
-    def num(x: float) -> str:
-        return nums[x] if x else _num(x)
-
+    num = _NumText()
     out: list[str] = []
     out.append(f"NAME          {model.name}")
     if model.sense == "max":
@@ -342,24 +335,22 @@ def emit_mps(model: Model) -> str:
     out.append("ROWS")
     out.append(" N  obj")
     senses = {"<=": "L", ">=": "G", "=": "E"}
-    constraints = model.constraints
-    rows = sorted(constraints)
+    rows = sorted(model.constraints)
     for name in rows:
-        out.append(f" {senses[constraints[name].sense]}  {name}")
+        out.append(f" {senses[model.constraints[name].sense]}  {name}")
     # column-major coefficient table, each entry the text after the column name
     cols: dict[str, list[str]] = {n: [] for n in model.variables}
     for coef, v in model.objective:
-        cols[v].append("  obj  " + nums[coef])
+        cols[v].append("  obj  " + num[coef])
     for name in rows:
         row = "  " + name + "  "
-        for coef, v in constraints[name].lin:
-            cols[v].append(row + nums[coef])
+        for coef, v in model.constraints[name].lin:
+            cols[v].append(row + num[coef])
     out.append("COLUMNS")
     marker = 0
     in_int = False
-    variables = model.variables
-    for vname in sorted(variables):
-        var = variables[vname]
+    for vname in sorted(model.variables):
+        var = model.variables[vname]
         if var.binary != in_int:
             kind = "INTORG" if var.binary else "INTEND"
             out.append(f"    MARKER{marker:04d}  'MARKER'                 '{kind}'")
@@ -371,12 +362,12 @@ def emit_mps(model: Model) -> str:
         out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
     out.append("RHS")
     for name in rows:
-        rhs = constraints[name].rhs
+        rhs = model.constraints[name].rhs
         if rhs != 0.0:
             out.append(f"    RHS  {name}  {num(rhs)}")
     out.append("BOUNDS")
-    for vname in sorted(variables):
-        var = variables[vname]
+    for vname in sorted(model.variables):
+        var = model.variables[vname]
         if var.binary:
             if var.lb == var.ub:
                 out.append(f" FX BND  {vname}  {num(var.lb)}")
