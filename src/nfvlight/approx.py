@@ -413,23 +413,25 @@ def build_milp(
         )
 
     # piecewise delay rows, one per source-destination path and vertex tuple
-    for name, ri, hops, inner in delay_rows(scn, ctx):
-        lin = [(-1.0, ctx.x3[ri])]
-        for a, v, vp in hops:
-            for (w, wp) in pairs_ne:
-                d = table.dist[(w, wp)]
-                if d:
-                    lin.append((d, ctx.z[(ri, a, v, vp, w, wp)]))
-                xi = xi_fwd[(ri, a, v, vp, w, wp)]
-                for k in range(fwd.K + 1):
-                    lin.append((fwd_values[k], xi[k]))
-        for n, v in inner:
-            part = parts.processing.get((ri, n, v))
-            if part is None:
-                continue
-            for k in range(part.K + 1):
-                lin.append((1.0 / part.knots[k] + part.shift, naming.xi_proc_name(ri, n, v, k)))
-        m.add_con(name, "delay", lin, "<=", scn.requests[ri].d_max)
+    def hop_terms(ri, a, v, vp):
+        for (w, wp) in pairs_ne:
+            key = (ri, a, v, vp, w, wp)
+            d = table.dist[(w, wp)]
+            if d:
+                yield (d, ctx.z[key])
+            yield from zip(fwd_values, xi_fwd[key])
+
+    def inner_terms(ri, n, v):
+        part = parts.processing.get((ri, n, v))
+        if part is None:
+            return ()
+        return [
+            (1.0 / part.knots[k] + part.shift, naming.xi_proc_name(ri, n, v, k))
+            for k in range(part.K + 1)
+        ]
+
+    for name, ri, terms in delay_rows(scn, ctx, hop_terms, inner_terms):
+        m.add_con(name, "delay", [(-1.0, ctx.x3[ri]), *terms], "<=", scn.requests[ri].d_max)
 
     if fixed_topology:
         # the fixed topology lights every fiber as a one-hop lightpath on wavelength 0

@@ -376,19 +376,30 @@ def load_terms(
     )
 
 
-def delay_rows(scn: Scenario, ctx: FlowContext):
+def delay_rows(scn: Scenario, ctx: FlowContext, hop_terms, inner_terms):
     """Enumerate the delay rows: one per request path and allowed vertex tuple.
 
-    Yields the row name, the request index, the data hops ``(arc, v, v')``
-    along the path, and the inner placements ``(node, v)``.
+    Yields the row name, the request index and the row's terms: for each data
+    hop ``(arc, v, v')`` along the path, ``hop_terms(ri, arc, v, v')``, then
+    for each inner placement ``(node, v)``, ``inner_terms(ri, node, v)``.
+    Each hop's terms are built once, as a tuple that every row crossing the
+    hop shares, so the rows hold references to one set of term objects.
     """
+    blocks: dict[tuple, tuple] = {}
     for ri, req in enumerate(scn.requests):
         for pi, path in enumerate(req.graph.paths()):
             arcs = list(zip(path, path[1:]))
             for vtuple in itertools.product(*(ctx.allowed[(ri, n)] for n in path)):
-                hops = [(a, vtuple[j], vtuple[j + 1]) for j, a in enumerate(arcs)]
-                inner = list(zip(path[1:-1], vtuple[1:-1]))
-                yield f"delay_r{ri}_p{pi}_" + "_".join(vtuple), ri, hops, inner
+                terms: list = []
+                for j, a in enumerate(arcs):
+                    key = (ri, a, vtuple[j], vtuple[j + 1])
+                    block = blocks.get(key)
+                    if block is None:
+                        block = blocks[key] = tuple(hop_terms(*key))
+                    terms += block
+                for n, v in zip(path[1:-1], vtuple[1:-1]):
+                    terms += inner_terms(ri, n, v)
+                yield f"delay_r{ri}_p{pi}_" + "_".join(vtuple), ri, terms
 
 
 def apply_objective(
@@ -642,17 +653,18 @@ def build_miqcp(
         psi_terms[(w, wp)] = terms
 
     # exact delay rows: propagation plus queue sojourn along every path
-    for name, ri, hops, inner in delay_rows(scn, ctx):
-        quad = []
-        for a, v, vp in hops:
-            for (w, wp) in pairs_ne:
-                zname = ctx.z[(ri, a, v, vp, w, wp)]
-                for d, lname in psi_terms[(w, wp)]:
-                    quad.append((d, zname, lname))
-                quad.append((1.0, zname, eta[(w, wp)]))
-        for n, v in inner:
-            quad.append((1.0, ctx.y[(ri, n, v)], theta[(ri, n, v)]))
-        m.add_con(name, "delay", [(-1.0, ctx.x3[ri])], "<=", scn.requests[ri].d_max, quad=quad)
+    def hop_terms(ri, a, v, vp):
+        for (w, wp) in pairs_ne:
+            zname = ctx.z[(ri, a, v, vp, w, wp)]
+            for d, lname in psi_terms[(w, wp)]:
+                yield (d, zname, lname)
+            yield (1.0, zname, eta[(w, wp)])
+
+    def inner_terms(ri, n, v):
+        return ((1.0, ctx.y[(ri, n, v)], theta[(ri, n, v)]),)
+
+    for name, ri, terms in delay_rows(scn, ctx, hop_terms, inner_terms):
+        m.add_con(name, "delay", [(-1.0, ctx.x3[ri])], "<=", scn.requests[ri].d_max, quad=terms)
 
     if fixed_topology:
         # the fixed topology lights every fiber as a one-hop lightpath on wavelength 0

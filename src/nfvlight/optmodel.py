@@ -3,7 +3,8 @@
 The container stores variables, linear and bilinear constraints, SOS2 groups
 and a linear objective.  It is valid from construction: each ``add_*``,
 ``fix_var`` and ``set_objective`` call rejects unknown variables, empty
-bounds and bilinear terms outside an MIQCP before it stores anything.
+bounds, bilinear terms outside an MIQCP and variable, row or set names that
+LP/MPS cannot carry before it stores anything.
 Emission is canonical: entries are sorted by name, so two models with the
 same content produce byte-identical files regardless of insertion order.
 In memory, bilinear terms keep the order the builder gave them; they are
@@ -100,6 +101,14 @@ def _bilinear_sums(terms) -> list[tuple[str, float]]:
     return [(key, acc[key]) for key in sorted(acc) if acc[key] != 0.0]
 
 
+def _check_name(what: str, name: str) -> None:
+    # LP/MPS separate fields with spaces, and emission orders bilinear pairs
+    # by their "a * b" text, which is (a, b) order only when no name holds a
+    # character at or below a space.
+    if not name or " " in name or not name.isprintable():
+        raise ModelError(f"{what} name {name!r} is empty, has a space or is not printable")
+
+
 class Model:
     def __init__(self, kind: str, name: str = "model"):
         if kind not in ("miqcp", "milp"):
@@ -125,11 +134,7 @@ class Model:
     ) -> str:
         if role not in ROLE_TAGS:
             raise ModelError(f"unknown variable role {role!r}")
-        # LP/MPS separate fields with spaces, and emission orders bilinear
-        # pairs by their "a * b" text, which is (a, b) order only when no
-        # name holds a character at or below a space.
-        if not name or " " in name or not name.isprintable():
-            raise ModelError(f"variable name {name!r} is empty, has a space or is not printable")
+        _check_name("variable", name)
         if name in self.variables:
             raise ModelError(f"duplicate variable {name}")
         if binary:
@@ -153,6 +158,7 @@ class Model:
         rhs: float,
         quad=(),
     ) -> str:
+        _check_name("constraint", name)
         if name in self.constraints:
             raise ModelError(f"duplicate constraint {name}")
         if sense not in ("<=", ">=", "="):
@@ -171,6 +177,7 @@ class Model:
         return name
 
     def add_sos2(self, name: str, members) -> str:
+        _check_name("SOS2 set", name)
         members = tuple(members)
         if name in self.sos2:
             raise ModelError(f"duplicate SOS2 set {name}")
@@ -179,6 +186,8 @@ class Model:
         for v in members:
             if v not in self.variables:
                 raise ModelError(f"SOS2 set {name} references unknown variable {v}")
+        if len(set(members)) < len(members):
+            raise ModelError(f"SOS2 set {name} repeats a member")
         self.sos2[name] = SOS2Set(name, members)
         return name
 
@@ -215,11 +224,12 @@ def model_stats(model: Model) -> dict:
 
 
 def constraint_lhs(con: Constraint, values: dict[str, float]) -> float:
+    get = values.get
     lhs = 0.0
     for coef, v in con.lin:
-        lhs += coef * values.get(v, 0.0)
+        lhs += coef * get(v, 0.0)
     for coef, a, b in con.bilinear:
-        lhs += coef * values.get(a, 0.0) * values.get(b, 0.0)
+        lhs += coef * get(a, 0.0) * get(b, 0.0)
     return lhs
 
 

@@ -106,6 +106,7 @@ def test_exact_model_dimensions_match_closed_forms(path6, perm0):
     assert time.monotonic() - t0 < 5.0
 
 
+@pytest.mark.slow
 def test_every_capacity_permutation_certifies_and_joint_wins(path6):
     t0 = time.monotonic()
     gains = {}

@@ -183,6 +183,22 @@ class TestConstruction:
             m.add_var(name, "lam")
         assert m.variables == before
 
+    @pytest.mark.parametrize("name", ["", "cap row", "a\tb", "a\nb", "a * b"])
+    def test_row_and_set_names_that_lp_and_mps_cannot_carry_are_rejected(self, name):
+        m = golden_milp()
+        before = (dict(m.constraints), dict(m.sos2))
+        with pytest.raises(ModelError, match="constraint name"):
+            m.add_con(name, "delay", [(1.0, "x")], "<=", 1.0)
+        with pytest.raises(ModelError, match="SOS2 set name"):
+            m.add_sos2(name, ("x", "b"))
+        assert (m.constraints, m.sos2) == before
+
+    def test_sos2_repeated_member_rejected(self):
+        m = golden_milp()
+        with pytest.raises(ModelError, match="repeats a member"):
+            m.add_sos2("s", ("x", "b", "x"))
+        assert m.sos2 == {}
+
 
 class TestEvaluation:
     def test_constraint_lhs_includes_quadratic_part(self):
