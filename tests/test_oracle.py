@@ -5,7 +5,15 @@ import dataclasses
 
 import pytest
 
-from nfvlight import ForwardingGraph, Request, Scenario, SubstrateNetwork, validate
+from nfvlight import (
+    ForwardingGraph,
+    Request,
+    Scenario,
+    SubstrateNetwork,
+    builtin_topology,
+    permutation_scenario,
+    validate,
+)
 from nfvlight.exact import build_miqcp
 from nfvlight.oracle import (
     OracleLimits,
@@ -290,3 +298,61 @@ class TestLimits:
     def test_time_budget_keeps_a_full_run_certified(self, tiny):
         res = solve_exhaustive(tiny, limits=OracleLimits(max_seconds=60.0))
         assert res.certificate["certified"] is True
+
+
+def _perm_outcome(topology, wavelengths, perm, mode):
+    sub = builtin_topology(topology, wavelengths=wavelengths)
+    scn = permutation_scenario(sub, perm, topology_name=topology)
+    return sub, solve_exhaustive(scn, fixed_topology=(mode == "fixed"))
+
+
+# Fixed-mode lightpaths mirror every fiber on wavelength 0.
+FIBERS = "fibers"
+
+# topology, wavelengths, perm, mode, lateness, objective, vertex of f,
+# topology, leaves, placement_rounds, colorings_cached
+PINNED_OUTCOMES = [
+    ("barbell6", 6, 0, "joint", 2.2546099290780144, -77.45390070921985, "v2",
+     {("v2", "v4"): 0, ("v2", "v3"): 1, ("v3", "v5"): 1, ("v4", "v6"): 0}, 7005, 3, 1291),
+    ("barbell6", 6, 0, "fixed", 3.254609929078015, -67.45390070921985, "v2", FIBERS, 129, 3, 0),
+    ("barbell6", 6, 17, "joint", 2.2546099290780144, -77.45390070921985, "v6",
+     {("v3", "v6"): 0, ("v4", "v6"): 1, ("v2", "v3"): 0, ("v4", "v5"): 0}, 6987, 3, 1291),
+    ("barbell6", 6, 17, "fixed", 3.2333333333333334, -67.66666666666666, "v1", FIBERS, 49, 3, 0),
+    ("barbell6", 6, 55, "joint", 2.2546099290780144, -77.45390070921985, "v5",
+     {("v1", "v4"): 0, ("v2", "v6"): 1, ("v4", "v5"): 0, ("v5", "v6"): 0}, 4486, 3, 1274),
+    ("barbell6", 6, 55, "fixed", 2.7546099290780144, -72.45390070921985, "v5", FIBERS, 45, 3, 0),
+    ("cycle6", 6, 0, "joint", 2.2546099290780144, -77.45390070921985, "v2",
+     {("v2", "v3"): 0, ("v2", "v6"): 0, ("v3", "v4"): 0, ("v5", "v6"): 0}, 961, 3, 541),
+    ("cycle6", 6, 0, "fixed", 2.7546099290780144, -72.45390070921985, "v2", FIBERS, 19, 3, 0),
+    ("cycle6", 6, 40, "joint", 2.1546099290780143, -78.45390070921985, "v1",
+     {("v1", "v2"): 0, ("v1", "v6"): 0, ("v2", "v4"): 0, ("v5", "v6"): 0}, 961, 3, 541),
+    ("cycle6", 6, 40, "fixed", 2.4212765957446813, -75.7872340425532, "v1", FIBERS, 19, 3, 0),
+    # One wavelength: the fiber budget, not the hop loads, prunes the search.
+    ("barbell6", 1, 17, "joint", 2.2546099290780144, -77.45390070921985, "v6",
+     {("v2", "v3"): 0, ("v3", "v6"): 0, ("v4", "v5"): 0, ("v5", "v6"): 0}, 113, 3, 40),
+    ("barbell6", 1, 17, "fixed", 3.2333333333333334, -67.66666666666666, "v1", FIBERS, 49, 3, 0),
+    ("cycle6", 1, 40, "joint", 2.1546099290780143, -78.45390070921985, "v1",
+     {("v1", "v2"): 0, ("v1", "v6"): 0, ("v2", "v4"): 0, ("v5", "v6"): 0}, 35, 3, 20),
+    ("cycle6", 1, 40, "fixed", 2.4212765957446813, -75.7872340425532, "v1", FIBERS, 19, 3, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "topology,wavelengths,perm,mode,lateness,objective,vertex,lightpaths,leaves,rounds,colorings",
+    PINNED_OUTCOMES,
+    ids=[f"{t}-w{w}-perm{p}-{m}" for (t, w, p, m, *_rest) in PINNED_OUTCOMES],
+)
+def test_pinned_outcomes_beyond_path6(topology, wavelengths, perm, mode, lateness, objective,
+                                      vertex, lightpaths, leaves, rounds, colorings):
+    sub, res = _perm_outcome(topology, wavelengths, perm, mode)
+    assert res.lateness == lateness
+    assert res.objective == objective
+    assert res.placements == {(0, "f"): vertex}
+    if lightpaths == FIBERS:
+        lightpaths = {f: 0 for f in sub.fibers()}
+    assert res.topology == lightpaths
+    cert = res.certificate
+    assert cert["certified"] is True
+    assert (cert["leaves"], cert["placement_rounds"], cert["colorings_cached"]) == (
+        leaves, rounds, colorings,
+    )
