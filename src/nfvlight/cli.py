@@ -290,6 +290,7 @@ def _experiment_cell(payload: dict) -> list[dict]:
                 row["lateness"] = res.lateness
                 row["exact_lateness"] = res.lateness
                 row["approx_error"] = ""
+                row["leaves"] = res.certificate["leaves"]
             except OracleScaleError as exc:
                 row.update(status="scale_error", lateness="", exact_lateness="",
                            approx_error="")
@@ -326,7 +327,7 @@ def _experiment_cell(payload: dict) -> list[dict]:
 
 _CSV_FIELDS = [
     "topology", "perm", "formulation", "mode", "status",
-    "lateness", "exact_lateness", "approx_error", "wall_s",
+    "lateness", "exact_lateness", "approx_error", "wall_s", "leaves",
 ]
 
 

@@ -325,6 +325,19 @@ class TestExperiment:
         by_mode = {r["mode"]: float(r["lateness"]) for r in rows if r["perm"] == "0"}
         assert by_mode["joint"] == 2.2546099290780144
         assert by_mode["fixed"] == 4.3546099290780145
+        leaves = {r["mode"]: r["leaves"] for r in rows if r["perm"] == "0"}
+        assert leaves == {"joint": "55", "fixed": "3"}
+
+    def test_adapter_rows_leave_the_leaves_column_blank(self, workdir, tmp_path, capsys):
+        out = tmp_path / "adapter.csv"
+        assert main([
+            "experiment", "--permutations", "0", "--modes", "joint", "--formulations", "milp",
+            "--adapter", adapter_for(workdir), "--workers", "1", "--out", str(out),
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["solved"] == 1
+        [row] = csv.DictReader(out.open())
+        assert list(row)[-2:] == ["wall_s", "leaves"]
+        assert (row["status"], row["leaves"]) == ("optimal", "")
 
     def test_aborted_oracle_search_is_not_counted_as_solved(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("NFVLIGHT_SOLVER", raising=False)
