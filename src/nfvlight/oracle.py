@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import naming
-from .approx import eval_gtilde, interpolate_xi, resolve_partitions, shortest_paths
+from .approx import ApproxError, eval_gtilde, interpolate_xi, resolve_partitions, shortest_paths
 from .scenario import Scenario
 
 _STAB = 1e-9
@@ -231,6 +231,8 @@ class _Search:
         self.table = shortest_paths(self.sub)
         self.plans = _chain_plans(scn)
         self.catalog = _Catalog(scn, self.table, joint=not fixed_topology)
+        # transceiver budget per vertex; degree scans the edge list
+        self.budget = {v: self.sub.degree(v) for v in self.sub.vertices}
 
         self.candidates: dict[tuple[int, str], list[str]] = {}
         for p in self.plans:
@@ -312,7 +314,9 @@ class _Search:
                     self.placement_rounds += 1
                     placements = dict(zip(funcs, combo))
                     segs = self._segments(mask, placements)
-                    self._dfs(mask, placements, segs, 0, {}, {}, {}, {}, [])
+                    trans = dict.fromkeys(self.sub.vertices, 0)
+                    fiber_cnt = [0] * len(self.sub.fibers())
+                    self._dfs(mask, placements, segs, 0, {}, trans, fiber_cnt, {}, [])
         except _Abort:
             self.aborted = True
         return self._result()
@@ -331,6 +335,33 @@ class _Search:
                 segs.append(SegmentPlan(p.ri, p.arcs[-1], chain_vs[-1], v, rate, b))
         return segs
 
+    def _fits(self, new_pairs, trans, fiber_cnt) -> bool:
+        """Whether lighting new_pairs keeps every transceiver and wavelength budget."""
+        pairs, pair_fibers = self.catalog.pairs, self.catalog.pair_fibers
+        budget, gammas = self.budget, self.gammas
+        # Each pair must fit on its own: exact for one pair, necessary for
+        # several, whose summed demand is checked only when all pass.
+        for p in new_pairs:
+            u, v = pairs[p]
+            if trans[u] >= budget[u] or trans[v] >= budget[v]:
+                return False
+            for f in pair_fibers[p]:
+                if fiber_cnt[f] >= gammas:
+                    return False
+        if len(new_pairs) == 1:
+            return True
+        add_t: dict[str, int] = {}
+        add_f: dict[int, int] = {}
+        for p in new_pairs:
+            u, v = pairs[p]
+            add_t[u] = add_t.get(u, 0) + 1
+            add_t[v] = add_t.get(v, 0) + 1
+            for f in pair_fibers[p]:
+                add_f[f] = add_f.get(f, 0) + 1
+        return all(trans[u] + k <= budget[u] for u, k in add_t.items()) and all(
+            fiber_cnt[f] + k <= gammas for f, k in add_f.items()
+        )
+
     def _dfs(self, mask, placements, segs, i, pair_used, trans, fiber_cnt, loads, chosen):
         if i == len(segs):
             self._leaf(mask, placements, segs, chosen, loads)
@@ -341,57 +372,53 @@ class _Search:
             self._dfs(mask, placements, segs, i + 1, pair_used, trans, fiber_cnt, loads, chosen)
             chosen.pop()
             return
+        pairs = self.catalog.pairs
+        pair_fibers = self.catalog.pair_fibers
+        limit = self.mu_bar - _STAB
+        rate = seg.rate
         for route in self.catalog.routes.get((seg.va, seg.vb), ()):
-            new_pairs = [p for p in route.pairs if not pair_used.get(p)]
-            if not self.fixed and new_pairs:
-                add_t: dict[str, int] = {}
-                add_f: dict[int, int] = {}
-                for p in new_pairs:
-                    u, v = self.catalog.pairs[p]
-                    add_t[u] = add_t.get(u, 0) + 1
-                    add_t[v] = add_t.get(v, 0) + 1
-                    for f in self.catalog.pair_fibers[p]:
-                        add_f[f] = add_f.get(f, 0) + 1
-                if any(trans.get(u, 0) + k > self.sub.degree(u) for u, k in add_t.items()):
-                    continue
-                if any(fiber_cnt.get(f, 0) + k > self.gammas for f, k in add_f.items()):
-                    continue
+            # Cheapest test first; every test is free of side effects, so
+            # their order does not change which routes survive.
             bad = False
             for hop in route.hops:
-                if loads.get(hop, 0.0) + seg.rate >= self.mu_bar - _STAB:
+                if loads.get(hop, 0.0) + rate >= limit:
                     bad = True
                     break
             if bad:
                 continue
+            # Every key of pair_used counts at least one route.
+            new_pairs = [p for p in route.pairs if p not in pair_used]
+            if new_pairs and not self.fixed and not self._fits(new_pairs, trans, fiber_cnt):
+                continue
 
             for p in new_pairs:
-                pair_used[p] = pair_used.get(p, 0)
-                u, v = self.catalog.pairs[p]
-                trans[u] = trans.get(u, 0) + 1
-                trans[v] = trans.get(v, 0) + 1
-                for f in self.catalog.pair_fibers[p]:
-                    fiber_cnt[f] = fiber_cnt.get(f, 0) + 1
+                pair_used[p] = 0
+                u, v = pairs[p]
+                trans[u] += 1
+                trans[v] += 1
+                for f in pair_fibers[p]:
+                    fiber_cnt[f] += 1
             for p in route.pairs:
-                pair_used[p] = pair_used.get(p, 0) + 1
+                pair_used[p] += 1
             for hop in route.hops:
-                loads[hop] = loads.get(hop, 0.0) + seg.rate
+                loads[hop] = loads.get(hop, 0.0) + rate
             chosen.append(route.hops)
 
             self._dfs(mask, placements, segs, i + 1, pair_used, trans, fiber_cnt, loads, chosen)
 
             chosen.pop()
             for hop in route.hops:
-                loads[hop] -= seg.rate
+                loads[hop] -= rate
                 if loads[hop] <= 1e-15:
                     del loads[hop]
             for p in route.pairs:
                 pair_used[p] -= 1
             for p in new_pairs:
                 del pair_used[p]
-                u, v = self.catalog.pairs[p]
+                u, v = pairs[p]
                 trans[u] -= 1
                 trans[v] -= 1
-                for f in self.catalog.pair_fibers[p]:
+                for f in pair_fibers[p]:
                     fiber_cnt[f] -= 1
 
     # ---- leaf evaluation ----
@@ -777,7 +804,6 @@ def as_assignment(
     # piecewise-linear assignment: recompute service at maximal allocation so
     # every active processing queue keeps its configured margin
     parts = resolve_partitions(scn)
-    from .approx import ApproxError
 
     service2: dict[tuple[int, str], float] = {}
     by_vertex: dict[str, list] = {}
