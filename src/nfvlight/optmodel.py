@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 ROLE_TAGS = ("lam", "mu", "l", "x1", "x2", "x3", "x4", "y", "z", "eta", "theta", "xi")
 
@@ -79,6 +80,21 @@ class Assignment:
 
 
 def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
+    """Sum the coefficients per variable, sort by name and drop zero sums.
+
+    Terms that are already merged (``(coef, name)`` tuples with distinct
+    names and nonzero ``float`` coefficients) come out as the same tuple
+    objects, only sorted, so rows built from one block of terms share it.
+    """
+    terms = tuple(terms)
+    if set(map(type, terms)) == {tuple} and set(map(len, terms)) == {2}:
+        coefs = tuple(map(itemgetter(0), terms))
+        if (
+            0.0 not in coefs
+            and set(map(type, coefs)) == {float}
+            and len(set(map(itemgetter(1), terms))) == len(terms)
+        ):
+            return tuple(sorted(terms, key=itemgetter(1)))
     acc: dict[str, float] = {}
     for coef, var in terms:
         acc[var] = acc.get(var, 0.0) + coef
@@ -330,7 +346,8 @@ def emit_lp(model: Model) -> str:
             members = " ".join(f"{v}:{i + 1}" for i, v in enumerate(s.members))
             out.append(f" {name}: S2:: {members}")
     out.append("End")
-    return "\n".join(out) + "\n"
+    out.append("")  # the join ends the text with a newline, without a copy
+    return "\n".join(out)
 
 
 def emit_mps(model: Model) -> str:
@@ -348,14 +365,15 @@ def emit_mps(model: Model) -> str:
     rows = sorted(model.constraints)
     for name in rows:
         out.append(f" {senses[model.constraints[name].sense]}  {name}")
-    # column-major coefficient table, each entry the text after the column name
+    # column-major coefficient table: per column, row label and coefficient
+    # text in turn, both shared, so no string is made per entry
     cols: dict[str, list[str]] = {n: [] for n in model.variables}
     for coef, v in model.objective:
-        cols[v].append("  obj  " + num[coef])
+        cols[v] += "  obj  ", num[coef]
     for name in rows:
         row = "  " + name + "  "
         for coef, v in model.constraints[name].lin:
-            cols[v].append(row + num[coef])
+            cols[v] += row, num[coef]
     out.append("COLUMNS")
     marker = 0
     in_int = False
@@ -366,8 +384,14 @@ def emit_mps(model: Model) -> str:
             out.append(f"    MARKER{marker:04d}  'MARKER'                 '{kind}'")
             marker += 1
             in_int = var.binary
-        head = "    " + vname
-        out.extend([head + entry for entry in cols[vname]])
+        entries = cols.pop(vname)
+        if entries:
+            # one chunk per column: its name, then a label and a number per line
+            parts = ["\n    " + vname] * (len(entries) // 2 * 3)
+            parts[0] = parts[0][1:]
+            parts[1::3] = entries[::2]
+            parts[2::3] = entries[1::2]
+            out.append("".join(parts))
     if in_int:
         out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
     out.append("RHS")
@@ -398,7 +422,8 @@ def emit_mps(model: Model) -> str:
             for i, v in enumerate(model.sos2[name].members):
                 out.append(f"    {v}  {num(float(i + 1))}")
     out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    out.append("")
+    return "\n".join(out)
 
 
 def emit_model(model: Model, fmt: str = "lp") -> str:

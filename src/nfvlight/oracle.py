@@ -234,6 +234,10 @@ class _Search:
         # transceiver budget per vertex; degree scans the edge list
         self.budget = {v: self.sub.degree(v) for v in self.sub.vertices}
 
+        # fixed mode lights every fiber on wavelength 0, whatever the routes
+        self.fixed_o_path = sum(2.0 * self.sub.delay[f] for f in self.sub.fibers())
+        self.fixed_topo = {f: 0 for f in self.sub.fibers()}
+
         self.candidates: dict[tuple[int, str], list[str]] = {}
         for p in self.plans:
             for (n, arrival, alpha, beta) in p.funcs:
@@ -261,9 +265,6 @@ class _Search:
         self.leaves += 1
         if self.limits.max_leaves is not None and self.leaves > self.limits.max_leaves:
             raise _Abort()
-        if self.limits.max_seconds is not None and self.leaves % 256 == 0:
-            if time.monotonic() - self.t0 > self.limits.max_seconds:
-                raise _Abort()
 
     # ---- wavelength coloring ----
 
@@ -310,6 +311,8 @@ class _Search:
                 opts = [self.candidates[key] for key in funcs]
                 if any(not o for o in opts):
                     continue
+                # fulfilled sets each leaf of this mask tries, largest first
+                self.fulfilled = self._fulfilled_subsets(sorted(mask))
                 for combo in itertools.product(*opts):
                     self.placement_rounds += 1
                     placements = dict(zip(funcs, combo))
@@ -364,7 +367,7 @@ class _Search:
 
     def _dfs(self, mask, placements, segs, i, pair_used, trans, fiber_cnt, loads, chosen):
         if i == len(segs):
-            self._leaf(mask, placements, segs, chosen, loads)
+            self._leaf(mask, placements, segs, chosen, loads, pair_used)
             return
         seg = segs[i]
         if seg.va == seg.vb:
@@ -423,15 +426,18 @@ class _Search:
 
     # ---- leaf evaluation ----
 
-    def _leaf(self, mask, placements, segs, chosen, loads):
+    def _leaf(self, mask, placements, segs, chosen, loads, pair_used):
         self._tick()
-        used = frozenset(self.catalog.pair_id[hop] for hops in chosen for hop in hops)
         if self.fixed:
-            coloring = {}
+            o_path, topo = self.fixed_o_path, self.fixed_topo
         else:
+            # the pairs of the chosen routes; each key counts at least one
+            used = frozenset(pair_used)
             coloring = self._color(used)
             if coloring is None:
                 return
+            o_path = sum(2.0 * self.table.dist[self.catalog.pairs[p]] for p in used)
+            topo = {self.catalog.pairs[p]: g for p, g in coloring.items()}
 
         seg_delay = []
         for hops in chosen:
@@ -455,24 +461,17 @@ class _Search:
                     worst = d if worst is None else max(worst, d)
             fixed_by_req[p.ri] = shared + (worst or 0.0)
 
-        if self.fixed:
-            o_path = sum(2.0 * self.sub.delay[f] for f in self.sub.fibers())
-            topo = {f: 0 for f in self.sub.fibers()}
-        else:
-            o_path = sum(2.0 * self.table.dist[self.catalog.pairs[p]] for p in used)
-            topo = {self.catalog.pairs[p]: g for p, g in coloring.items()}
         o_data = 0.0
         for s, hops in zip(segs, chosen):
             o_data += s.rate * len(hops) if hops else 0.5 * s.rate
 
-        embedded = sorted(mask)
-        for F in self._fulfilled_subsets(embedded):
+        for F in self.fulfilled:
             alloc = self._allocate(mask, placements, fixed_by_req, F)
             if alloc is None:
                 continue
             lat, service = alloc
             o1 = float(len(F))
-            o2 = float(len(embedded))
+            o2 = float(len(mask))
             o3 = max(lat.values(), default=0.0)
             o_proc = sum(service.values())
             W = self.scn.weights
@@ -493,6 +492,10 @@ class _Search:
                     "service": dict(service),
                     "o": (o1, o2, o3, o4),
                 }
+        # The clock is read after scoring, so a search it stops keeps this leaf.
+        max_seconds = self.limits.max_seconds
+        if max_seconds is not None and time.monotonic() - self.t0 > max_seconds:
+            raise _Abort()
 
     def _fulfilled_subsets(self, embedded):
         out = []

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from nfvlight.cli import main
+from nfvlight import build_milp
+from nfvlight.cli import _WRITE_SLICE, _write_model, main
+from nfvlight.optmodel import Model, emit_model
 from nfvlight.scenario import load_scenario
 
 
@@ -219,6 +221,46 @@ class TestSolve:
             "--timeout", "0.2",
         ]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "TimeoutExpired"
+
+
+class TestModelFiles:
+    """Model files are written in slices; the bytes equal one whole encode."""
+
+    @pytest.fixture(scope="class")
+    def milp_texts(self, workdir):
+        model = build_milp(load_scenario(workdir / "p0.json"))
+        return {fmt: emit_model(model, fmt) for fmt in ("lp", "mps")}
+
+    @pytest.mark.parametrize("fmt", ["lp", "mps"])
+    def test_build_out_holds_the_emitted_text(self, workdir, tmp_path, milp_texts, fmt):
+        out = tmp_path / f"p0.{fmt}"
+        assert main([
+            "build", "--scenario", str(workdir / "p0.json"), "--formulation", "milp",
+            "--format", fmt, "--out", str(out),
+        ]) == 0
+        assert len(milp_texts[fmt]) > _WRITE_SLICE
+        assert out.read_bytes() == milp_texts[fmt].encode()
+
+    def test_solve_keep_model_holds_the_emitted_text(self, workdir, tmp_path, milp_texts, capsys):
+        kept = tmp_path / "kept.mps"
+        assert main([
+            "solve", "--scenario", str(workdir / "p0.json"), "--formulation", "milp",
+            "--format", "mps", "--adapter", adapter_for(workdir), "--keep-model", str(kept),
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert kept.read_bytes() == milp_texts["mps"].encode()
+
+    def test_slices_encode_like_write_text(self, tmp_path):
+        # Scenarios cannot name a variable outside ASCII; a hand-built
+        # model can, and its text spans more than one slice.
+        m = Model("milp", name="é")
+        names = [m.add_var(f"xé{i}", "lam", ub=1.0) for i in range(40000)]
+        m.add_con("cé", "capacity", [(1.0, v) for v in names], "<=", 1.0)
+        text = emit_model(m, "lp")
+        assert len(text) > _WRITE_SLICE
+        _write_model(tmp_path / "sliced.lp", text)
+        (tmp_path / "whole.lp").write_text(text)
+        assert (tmp_path / "sliced.lp").read_bytes() == (tmp_path / "whole.lp").read_bytes()
 
 
 class TestValidate:

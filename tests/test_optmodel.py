@@ -13,6 +13,7 @@ from nfvlight.optmodel import (
     Model,
     ModelError,
     SolutionError,
+    _merge_lin,
     constraint_lhs,
     constraint_violation,
     emit_lp,
@@ -550,3 +551,39 @@ def test_quad_equals_tuple_keyed_merge(row):
         assert f" row: [ {bracket} ] <= 1\n" in text
     else:
         assert " row: 0  <= 1\n" in text
+
+
+def _reference_lin_merge(terms):
+    """Dict merge: summed per name in input order, sorted by name, zero sums dropped."""
+    acc = {}
+    for coef, v in terms:
+        acc[v] = acc.get(v, 0.0) + coef
+    return tuple((c, v) for v, c in sorted(acc.items()) if c != 0.0)
+
+
+@st.composite
+def _lin_rows(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+    coef = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.5, 0.1, 0.0, -0.0, 1, -3, 0])
+    term = st.tuples(coef, st.sampled_from(names))
+    distinct = draw(st.booleans())
+    terms = draw(st.lists(term, max_size=8, unique_by=(lambda t: t[1]) if distinct else None))
+    if draw(st.booleans()):
+        terms.sort(key=lambda t: t[1])
+    return terms
+
+
+def _typed(terms):
+    return [(type(c), float(c).hex(), v) for c, v in terms]
+
+
+@given(_lin_rows())
+@settings(max_examples=300)
+def test_merge_lin_equals_dict_merge(terms):
+    merged = _merge_lin(terms)
+    assert type(merged) is tuple and all(type(t) is tuple for t in merged)
+    assert _typed(merged) == _typed(_reference_lin_merge(terms))
+    names = [v for _, v in terms]
+    if len(set(names)) == len(names) and all(type(c) is float and c for c, _ in terms):
+        # already merged: the row keeps the given term tuples, only sorted
+        assert all(any(t is u for u in terms) for t in merged)

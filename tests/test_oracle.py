@@ -300,6 +300,15 @@ class TestLimits:
         assert res.certificate["certified"] is True
 
 
+def test_time_budget_stops_a_search_with_few_leaves(perm0):
+    # The joint path6 perm 0 search has 55 leaves.  The clock is read after
+    # every scored leaf, so a spent budget stops it at the first one that
+    # scores, and the search still returns that leaf as its incumbent.
+    res = solve_exhaustive(perm0, limits=OracleLimits(max_seconds=0.0))
+    assert res.certificate["certified"] is False
+    assert res.certificate["leaves"] < 55
+
+
 def _perm_outcome(topology, wavelengths, perm, mode):
     sub = builtin_topology(topology, wavelengths=wavelengths)
     scn = permutation_scenario(sub, perm, topology_name=topology)
