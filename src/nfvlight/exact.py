@@ -379,11 +379,12 @@ def load_terms(
 def delay_rows(scn: Scenario, ctx: FlowContext, hop_terms, inner_terms):
     """Enumerate the delay rows: one per request path and allowed vertex tuple.
 
-    Yields the row name, the request index and the row's terms: for each data
-    hop ``(arc, v, v')`` along the path, ``hop_terms(ri, arc, v, v')``, then
-    for each inner placement ``(node, v)``, ``inner_terms(ri, node, v)``.
-    Each hop's terms are built once, as a tuple that every row crossing the
-    hop shares, so the rows hold references to one set of term objects.
+    Yields the row name, the request index and the row's terms (linear terms
+    or bilinear products): for each data hop ``(arc, v, v')`` along the path,
+    ``hop_terms(ri, arc, v, v')``, then for each inner placement ``(node, v)``,
+    ``inner_terms(ri, node, v)``.  Each hop's terms are built once, as a tuple
+    that every row crossing the hop shares, so the rows hold references to
+    one set of term objects.
     """
     blocks: dict[tuple, tuple] = {}
     for ri, req in enumerate(scn.requests):
@@ -504,14 +505,13 @@ def build_miqcp(
 
     # forwarding queue sojourn time: eta >= 1 / (line rate - load)
     for (w, wp) in pairs_ne:
-        quad = [(1.0, name, eta[(w, wp)]) for _, name in load_terms(scn, ctx, w, wp)]
         m.add_con(
             f"forwarding_sojourn_{w}_{wp}",
             "forwarding_sojourn",
             [(-mu_bar, eta[(w, wp)])],
             "<=",
             -1.0,
-            quad=quad,
+            quad=[(eta[(w, wp)], load_terms(scn, ctx, w, wp))],
         )
 
     # processing queue sojourn time: theta >= y / (mu - arrivals)
@@ -519,16 +519,13 @@ def build_miqcp(
         for n in req.graph.functional:
             for v in V:
                 key = (ri, n, v)
-                th = theta[key]
-                quad = [(1.0, name, th) for _, name in ctx.inflow[key]]
-                quad.append((-1.0, ctx.mu[key], th))
                 m.add_con(
                     f"processing_sojourn_r{ri}_{naming.node_token(n)}_{v}",
                     "processing_sojourn",
                     [(1.0, ctx.y[key])],
                     "<=",
                     0.0,
-                    quad=quad,
+                    quad=[(theta[key], (*ctx.inflow[key], (-1.0, ctx.mu[key])))],
                 )
                 # arrivals must stay below the allocated service rate
                 m.add_con(
@@ -652,16 +649,16 @@ def build_miqcp(
                     terms.append((d, l_tab[(w, wp, e, g)]))
         psi_terms[(w, wp)] = terms
 
-    # exact delay rows: propagation plus queue sojourn along every path
+    # exact delay rows: propagation plus queue sojourn along every path.  A
+    # hop routed over (w, w') costs z times one expression per lightpath,
+    # which every delay row shares.
+    hop_delay = {p: (*psi_terms[p], (1.0, eta[p])) for p in pairs_ne}
+
     def hop_terms(ri, a, v, vp):
-        for (w, wp) in pairs_ne:
-            zname = ctx.z[(ri, a, v, vp, w, wp)]
-            for d, lname in psi_terms[(w, wp)]:
-                yield (d, zname, lname)
-            yield (1.0, zname, eta[(w, wp)])
+        return [(ctx.z[(ri, a, v, vp, w, wp)], hop_delay[(w, wp)]) for (w, wp) in pairs_ne]
 
     def inner_terms(ri, n, v):
-        return ((1.0, ctx.y[(ri, n, v)], theta[(ri, n, v)]),)
+        return ((ctx.y[(ri, n, v)], ((1.0, theta[(ri, n, v)]),)),)
 
     for name, ri, terms in delay_rows(scn, ctx, hop_terms, inner_terms):
         m.add_con(name, "delay", [(-1.0, ctx.x3[ri])], "<=", scn.requests[ri].d_max, quad=terms)

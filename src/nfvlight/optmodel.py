@@ -7,9 +7,12 @@ bounds, bilinear terms outside an MIQCP and variable, row or set names that
 LP/MPS cannot carry before it stores anything.
 Emission is canonical: entries are sorted by name, so two models with the
 same content produce byte-identical files regardless of insertion order.
-In memory, bilinear terms keep the order the builder gave them; they are
-merged and sorted only when a canonical view is asked for, which LP
-emission does once per row.
+In memory, a row's bilinear part is a tuple of products ``(a, terms)``, each
+meaning ``sum(coef * a * b for coef, b in terms)``.  Rows share ``terms``
+tuples, so a variable times a common linear expression costs one entry.
+Products keep the order the builder gave them; they are expanded, merged
+and sorted only when a canonical view is asked for, which LP emission does
+once per row.
 """
 from __future__ import annotations
 
@@ -47,17 +50,23 @@ class Constraint:
     lin: tuple[tuple[float, str], ...]
     sense: str  # "<=", ">=", "="
     rhs: float
-    bilinear: tuple[tuple[float, str, str], ...] = ()  # as given, unmerged
+    # (a, terms) products as given, unmerged: sum of coef * a * b per (coef, b)
+    products: tuple[tuple[str, tuple[tuple[float, str], ...]], ...] = ()
+
+    @property
+    def bilinear(self) -> tuple[tuple[float, str, str], ...]:
+        """The products expanded to ``(coef, a, b)`` terms, in the given order."""
+        return tuple((coef, a, b) for a, terms in self.products for coef, b in terms)
 
     @property
     def quad(self) -> tuple[tuple[float, str, str], ...]:
         """Canonical bilinear part: pairs ordered, merged, zeros dropped, sorted.
 
         Recomputed on every read, so that the model never holds a second copy
-        of the terms; order-insensitive readers use ``bilinear`` instead.
+        of the terms.
         """
         quad = []
-        for key, coef in _bilinear_sums(self.bilinear):
+        for key, coef in _product_sums(self.products):
             a, _, b = key.partition(" * ")
             quad.append((coef, a, b))
         return tuple(quad)
@@ -101,8 +110,8 @@ def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
     return tuple((c, v) for v, c in sorted(acc.items()) if c != 0.0)
 
 
-def _bilinear_sums(terms) -> list[tuple[str, float]]:
-    """Merge bilinear terms by the key ``"a * b"``, smaller name first.
+def _product_sums(products) -> list[tuple[str, float]]:
+    """Merge the expanded products by the key ``"a * b"``, smaller name first.
 
     Returns ``(key, coefficient)`` pairs sorted by key, zero sums dropped.
     Coefficients are summed in the order given.  Key order is ``(a, b)``
@@ -111,9 +120,10 @@ def _bilinear_sums(terms) -> list[tuple[str, float]]:
     """
     acc: dict[str, float] = {}
     get = acc.get
-    for coef, a, b in terms:
-        key = f"{a} * {b}" if a <= b else f"{b} * {a}"
-        acc[key] = get(key, 0.0) + coef
+    for a, terms in products:
+        for coef, b in terms:
+            key = f"{a} * {b}" if a <= b else f"{b} * {a}"
+            acc[key] = get(key, 0.0) + coef
     return [(key, acc[key]) for key in sorted(acc) if acc[key] != 0.0]
 
 
@@ -174,22 +184,33 @@ class Model:
         rhs: float,
         quad=(),
     ) -> str:
+        """Add a row; ``quad`` holds ``(a, terms)`` products or ``(coef, a, b)`` terms."""
         _check_name("constraint", name)
         if name in self.constraints:
             raise ModelError(f"duplicate constraint {name}")
         if sense not in ("<=", ">=", "="):
             raise ModelError(f"bad sense {sense!r}")
-        lin, quad = _merge_lin(lin), tuple(quad)
+        lin = _merge_lin(lin)
+        # a (coef, a, b) term is the one-term product (a, ((coef, b),))
+        products = tuple(
+            (t[0], tuple(t[1])) if len(t) == 2 else (t[1], ((t[0], t[2]),)) for t in quad
+        )
         variables = self.variables
         for _, v in lin:
             if v not in variables:
                 raise ModelError(f"constraint {name} references unknown variable {v}")
-        for _, a, b in quad:
-            if a not in variables or b not in variables:
-                raise ModelError(f"constraint {name} references unknown variable {a}*{b}")
-        if quad and self.kind != "miqcp":
+        checked: set[int] = set()  # ids of the terms tuples already checked in this row
+        for a, terms in products:
+            if a in variables and (
+                id(terms) in checked or variables.keys() >= set(map(itemgetter(1), terms))
+            ):
+                checked.add(id(terms))
+                continue
+            b = next((b for _, b in terms if a not in variables or b not in variables), "")
+            raise ModelError(f"constraint {name} references unknown variable {a}*{b}")
+        if products and self.kind != "miqcp":
             raise ModelError(f"bilinear terms in {name} are only allowed in MIQCP models")
-        self.constraints[name] = Constraint(name, family, lin, sense, rhs, quad)
+        self.constraints[name] = Constraint(name, family, lin, sense, rhs, products)
         return name
 
     def add_sos2(self, name: str, members) -> str:
@@ -244,8 +265,14 @@ def constraint_lhs(con: Constraint, values: dict[str, float]) -> float:
     lhs = 0.0
     for coef, v in con.lin:
         lhs += coef * get(v, 0.0)
-    for coef, a, b in con.bilinear:
-        lhs += coef * get(a, 0.0) * get(b, 0.0)
+    for a, terms in con.products:
+        x = get(a, 0.0)
+        if x == 0.0:
+            # exact for finite partners: each term is a signed zero, and adding
+            # one changes no sum that starts at 0.0
+            continue
+        for coef, b in terms:
+            lhs += coef * x * get(b, 0.0)
     return lhs
 
 
@@ -298,10 +325,10 @@ class _SignedText(dict):
         return text
 
 
-def _lp_row(signed: _SignedText, lin, bilinear) -> str:
+def _lp_row(signed: _SignedText, lin, products) -> str:
     parts = [signed[c] + v for c, v in lin]
-    if bilinear:
-        pairs = _bilinear_sums(bilinear)
+    if products:
+        pairs = _product_sums(products)
         if pairs:
             parts.append("+ [ " + " ".join([signed[c] + key for key, c in pairs]) + " ]")
     if not parts:
@@ -319,7 +346,7 @@ def emit_lp(model: Model) -> str:
     out.append("Subject To")
     for name in sorted(model.constraints):
         con = model.constraints[name]
-        out.append(f" {name}: {_lp_row(signed, con.lin, con.bilinear)} {con.sense} {num(con.rhs)}")
+        out.append(f" {name}: {_lp_row(signed, con.lin, con.products)} {con.sense} {num(con.rhs)}")
     out.append("Bounds")
     for name in sorted(model.variables):
         var = model.variables[name]
@@ -351,7 +378,7 @@ def emit_lp(model: Model) -> str:
 
 
 def emit_mps(model: Model) -> str:
-    if any(con.bilinear for con in model.constraints.values()):
+    if any(con.products for con in model.constraints.values()):
         raise ModelError("quadratic constraints unsupported in MPS emission")
     num = _NumText()
     out: list[str] = []

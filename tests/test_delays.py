@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from nfvlight import build_milp, build_miqcp, validate
+from nfvlight import build_milp, build_miqcp, naming, validate
 from nfvlight.delays import (
     EmbeddingView,
     build_embedding_view,
@@ -159,6 +159,22 @@ class TestValidate:
         assert not rep.ok
         assert [v.name for v in rep.violations if v.family == "non_finite"] == [var]
         assert "Infinity" not in rep.to_json() and "NaN" not in rep.to_json()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_partner_of_a_zero_factor_is_reported(self, tiny, tiny_joint, bad):
+        # Evaluation skips a product whose first factor is 0.0, so this value
+        # never reaches the delay rows; it must still be reported.
+        m = build_miqcp(tiny)
+        values = dict(as_assignment(tiny_joint, tiny, "miqcp"))
+        var = naming.l_name("v1", "v3", ("v1", "v2"), 0)
+        partners = [
+            a for con in m.constraints.values() for _, a, b in con.bilinear if b == var
+        ]
+        assert partners and all(values.get(z, 0.0) == 0.0 for z in partners)
+        values[var] = bad
+        rep = validate(tiny, m, values)
+        assert not rep.ok
+        assert [v.name for v in rep.violations if v.family == "non_finite"] == [var]
 
     @pytest.mark.parametrize("kind", ["miqcp", "milp"])
     def test_nan_service_rate_is_not_timed_as_on_time(self, tiny, tiny_joint, kind):

@@ -176,6 +176,30 @@ class TestConstruction:
             call(m)
         assert state() == before
 
+    @pytest.mark.parametrize(
+        "product, match",
+        [(("ghost", "shared"), r"constraint c references unknown variable ghost\*a"),
+         (("b", "used"), r"constraint c references unknown variable b\*ghost")],
+        ids=["factor", "expression"],
+    )
+    def test_unknown_product_names_rejected_without_side_effects(self, product, match):
+        shared = ((1.0, "a"), (2.0, "b"))
+        used = ((1.0, "b"), (1.0, "ghost"))
+        other = Model("miqcp")
+        for v in ("a", "b", "ghost"):
+            other.add_var(v, "lam")
+        other.add_con("r", "delay", [], "<=", 1.0, quad=[("a", used)])
+        m = Model("miqcp")
+        m.add_var("a", "lam")
+        m.add_var("b", "eta")
+        m.add_con("ok", "delay", [], "<=", 1.0, quad=[("a", shared)])
+        before = dict(m.constraints)
+        a, terms = product[0], {"shared": shared, "used": used}[product[1]]
+        with pytest.raises(ModelError, match=match):
+            # the first product checks ``shared``; the second must be checked all the same
+            m.add_con("c", "delay", [], "<=", 1.0, quad=[("b", shared), (a, terms)])
+        assert m.constraints == before
+
     @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\nb", "a * b"])
     def test_variable_names_that_lp_and_mps_cannot_carry_are_rejected(self, name):
         m = golden_miqcp()
@@ -587,3 +611,47 @@ def test_merge_lin_equals_dict_merge(terms):
     if len(set(names)) == len(names) and all(type(c) is float and c for c, _ in terms):
         # already merged: the row keeps the given term tuples, only sorted
         assert all(any(t is u for u in terms) for t in merged)
+
+
+_factor_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+@st.composite
+def _product_rows(draw):
+    """Two rows of products that share ``terms`` tuples, and finite values."""
+    names = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+    coef = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1, 1.5, 0.1])
+    term = st.tuples(coef, st.sampled_from(names))
+    pool = [tuple(draw(st.lists(term, max_size=5))) for _ in range(draw(st.integers(1, 3)))]
+    product = st.tuples(st.sampled_from(names), st.sampled_from(pool))
+    rows = [draw(st.lists(product, max_size=6)) for _ in range(2)]
+    lin = [draw(st.lists(term, max_size=3)) for _ in range(2)]
+    values = draw(st.dictionaries(st.sampled_from(names), _factor_values))
+    return names, lin, rows, values
+
+
+@given(_product_rows())
+@settings(max_examples=300)
+def test_product_rows_evaluate_and_merge_like_their_expansion(case):
+    names, lin, rows, values = case
+    m = Model("miqcp", name="prop")
+    for v in names:
+        m.add_var(v, "lam")
+    for i in range(2):
+        m.add_con(f"r{i}", "delay", lin[i], "<=", 1.0, quad=rows[i])
+    for i, products in enumerate(rows):
+        con = m.constraints[f"r{i}"]
+        assert all(got is terms for (_, got), (_, terms) in zip(con.products, products))
+        flat = [(c, a, b) for a, terms in products for c, b in terms]
+        assert list(con.bilinear) == flat
+        # reference: every expanded term in order, zero factors included
+        lhs = 0.0
+        for c, v in con.lin:
+            lhs += c * values.get(v, 0.0)
+        for c, a, b in flat:
+            lhs += c * values.get(a, 0.0) * values.get(b, 0.0)
+        assert constraint_lhs(con, values) == lhs
+        assert con.quad == _reference_merge(flat)
