@@ -365,3 +365,76 @@ def test_pinned_outcomes_beyond_path6(topology, wavelengths, perm, mode, latenes
     assert (cert["leaves"], cert["placement_rounds"], cert["colorings_cached"]) == (
         leaves, rounds, colorings,
     )
+
+
+def _coupled_cases(tiny):
+    chain2 = ForwardingGraph(nodes=("s", "f", "g", "d"), arcs=(("s", "f"), ("f", "g"), ("g", "d")))
+    skewed = ForwardingGraph(
+        nodes=("s", "f", "g", "d"),
+        arcs=(("s", "f"), ("f", "g"), ("g", "d")),
+        alpha_arc={("f", "g"): {("s", "f"): 2.0}, ("g", "d"): {("f", "g"): 0.5}},
+    )
+    second = Request(
+        graph=ForwardingGraph(nodes=("s", "g", "d"), arcs=(("s", "g"), ("g", "d"))),
+        d_max=1.0,
+        initial_rates={("s", "g"): 1.0},
+        source_restrictions=(("s", "v3", 1.0),),
+        dest_restrictions=(("d", "v1", 1.0),),
+    )
+    split = dataclasses.replace(
+        swap_request(tiny, graph=chain2),
+        substrate=dataclasses.replace(tiny.substrate, capacity={"v1": 6.0, "v2": 5.0}),
+    )
+    return {
+        "symmetric": (swap_request(tiny, graph=chain2), None),
+        "skewed": (swap_request(tiny, graph=skewed), None),
+        "shared": (dataclasses.replace(tiny, requests=(tiny.requests[0], second)), None),
+        # the two functions of one chain on two vertices
+        "split": (split, {(0, "f"): "v1", (0, "g"): "v2"}),
+    }
+
+
+# float.hex of lateness, objective and lex, service by function, and
+# (leaves, placement_rounds, colorings_cached in joint mode)
+COUPLED_PINS = {
+    "symmetric": (
+        "0x1.4ccccccbba12ap+0", "-0x1.5c0000002aed2p+6",
+        ("-0x0.0p+0", "-0x1.0000000000000p+0", "0x1.4ccccccbba12ap+0", "0x1.b3333333bc904p+3"),
+        {(0, "f"): "0x1.00000000895d1p+2", (0, "g"): "0x1.00000000895d1p+2"},
+        (2, 2, 2),
+    ),
+    "skewed": (
+        "0x1.2666666440f24p+1", "-0x1.34000000abb45p+6",
+        ("-0x0.0p+0", "-0x1.0000000000000p+0", "0x1.2666666440f24p+1", "0x1.d3333333bc903p+3"),
+        {(0, "f"): "0x1.8000000112ba1p+1", (0, "g"): "0x1.40000000895d0p+2"},
+        (2, 2, 2),
+    ),
+    "shared": (
+        "0x1.2ff62b0d801b4p-1", "-0x1.8420625178fefp+7",
+        ("-0x0.0p+0", "-0x1.0000000000000p+1", "0x1.2ff62b0d801b4p-1", "0x1.d3333333bc8cbp+3"),
+        {(0, "f"): "0x1.59ed90bb54eaap+2", (1, "g"): "0x1.4c24de8b7b90ep+1"},
+        (4, 4, 2),
+    ),
+    "split": (
+        "0x1.c444443badc08p-1", "-0x1.6caaaaab566cfp+6",
+        ("-0x0.0p+0", "-0x1.0000000000000p+0", "0x1.c444443badc08p-1", "0x1.0999999de4db6p+4"),
+        {(0, "f"): "0x1.800000112d075p+2", (0, "g"): "0x1.4000000000000p+2"},
+        (2, 2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["joint", "fixed"])
+@pytest.mark.parametrize("case", list(COUPLED_PINS))
+def test_coupled_allocation_is_pinned_bit_for_bit(tiny, case, fixed):
+    scn, pins = _coupled_cases(tiny)[case]
+    res = solve_exhaustive(scn, fixed, pin_placements=pins)
+    lateness, objective, lex, service, (leaves, rounds, colorings) = COUPLED_PINS[case]
+    assert res.lateness == float.fromhex(lateness)
+    assert res.objective == float.fromhex(objective)
+    assert res.lex == tuple(float.fromhex(x) for x in lex)
+    assert res.service == {k: float.fromhex(x) for k, x in service.items()}
+    cert = res.certificate
+    assert (cert["leaves"], cert["placement_rounds"]) == (leaves, rounds)
+    assert cert["colorings_cached"] == (0 if fixed else colorings)
+    assert cert["certified"] is True

@@ -152,3 +152,79 @@ class TestScenarioResolution:
         scn = dataclasses.replace(perm0, substrate=sub)
         with pytest.raises(ApproxError, match="forwarding"):
             resolve_partitions(scn)
+
+
+def _per_vertex_windows(tiny, *, processing, fixed_service):
+    """tiny with capacity at every vertex and one window override per vertex:
+    v1 sets only ``upper``, v2 only ``eps``, v3 only ``base_points``."""
+    import dataclasses
+
+    from nfvlight.scenario import ApproxConfig, QueueApprox
+
+    req = tiny.requests[0]
+    if fixed_service:
+        # a zero rate factor makes the configured upper the service window
+        req = dataclasses.replace(
+            req, graph=dataclasses.replace(req.graph, alpha_node={"f": 0.0}, beta_node={"f": 1.0})
+        )
+    approx = ApproxConfig(
+        processing=processing,
+        processing_by_vertex={
+            "v1": QueueApprox(upper=9.0),
+            "v2": QueueApprox(eps=0.25),
+            "v3": QueueApprox(base_points=4),
+        },
+    )
+    scn = dataclasses.replace(
+        tiny,
+        substrate=dataclasses.replace(tiny.substrate, capacity={"v1": 3.0, "v2": 8.0, "v3": 3.0}),
+        requests=(req,),
+        approx=approx,
+    )
+    scn.validate()
+    return scn
+
+
+@pytest.mark.parametrize(
+    "eps, fixed_service, theta_ub, windows, digest",
+    [
+        (
+            0.5, False,
+            {"v1": 2.0, "v2": 4.0, "v3": 2.0},
+            {"v1": (0.5, 3.0, 9), "v2": (0.25, 8.0, 17), "v3": (0.5, 3.0, 3)},
+            "f6946728e41e1a364110b2e7e367ee8f3d1fbea2a306101cc790e59714235445",
+        ),
+        (
+            0.5, True,
+            {"v1": 2.0, "v2": 4.0, "v3": 2.0},
+            {"v1": (0.5, 9.0, 11), "v2": (0.25, 6.0, 16), "v3": (0.5, 6.0, 3)},
+            "d726c34e36eb3e3fa53dc41c054a270db2924db8f21c9b48ad547e495422dc78",
+        ),
+        (
+            # no shared eps: the MIQCP leaves theta unbounded there, the MILP
+            # derives eps from upper minus the inflow bound
+            None, False,
+            {"v1": None, "v2": 4.0, "v3": None},
+            {"v1": (1.0, 3.0, 5), "v2": (0.25, 8.0, 17), "v3": (1.0, 3.0, 3)},
+            "33f602fc7c9b35aeab72972d56acf6829baa538782b075020f3425d6784e1914",
+        ),
+    ],
+    ids=["shared-eps", "fixed-service", "derived-eps"],
+)
+def test_per_vertex_processing_window_falls_back_field_by_field(
+    tiny, eps, fixed_service, theta_ub, windows, digest
+):
+    import hashlib
+
+    from nfvlight import build_milp, build_miqcp, emit_lp
+    from nfvlight.scenario import QueueApprox
+
+    scn = _per_vertex_windows(
+        tiny, processing=QueueApprox(eps=eps, upper=6.0), fixed_service=fixed_service
+    )
+    miqcp = build_miqcp(scn)
+    assert {v: miqcp.variables[f"theta_r0_n{{f}}_{v}"].ub for v in theta_ub} == theta_ub
+    qp = resolve_partitions(scn)
+    assert {k[2]: (p.eps, p.upper, p.K) for k, p in qp.processing.items()} == windows
+    assert qp.blocked == frozenset()
+    assert hashlib.sha256(emit_lp(build_milp(scn)).encode()).hexdigest() == digest
