@@ -105,6 +105,11 @@ class Partition:
     def knots(self) -> tuple[float, ...]:
         return self.points + (self.points[-1],)
 
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The interpolated delay ``1/p_k + shift`` at each base point."""
+        return tuple(1.0 / p + self.shift for p in self.points)
+
     def segment_error(self, k: int) -> float:
         a, b = self.points[k - 1], self.points[k]
         return (1.0 / math.sqrt(a) - 1.0 / math.sqrt(b)) ** 2
@@ -145,40 +150,37 @@ def minimal_base_points(eps: float, upper: float, error_target: float) -> int:
     return K + 1
 
 
-def eval_gtilde(partition: Partition, x: float) -> float:
-    """Secant interpolation of 1/x at slack ``x``, plus the configured shift."""
+def _segment(partition: Partition, x: float, what: str) -> tuple[int, float]:
+    """The segment ``i`` (points ``i-1`` to ``i``) holding slack ``x``, and the
+    position ``t`` of ``x`` in it; ``x`` may lie a rounding error outside."""
     pts = partition.points
     atol = 1e-9 * max(1.0, partition.upper)
     if x < partition.eps - atol or x > partition.upper + atol:
-        raise ApproxError(f"slack {x!r} outside [{partition.eps!r}, {partition.upper!r}]")
+        raise ApproxError(f"{what} {x!r} outside [{partition.eps!r}, {partition.upper!r}]")
     x = min(max(x, pts[0]), pts[-1])
-    i = bisect.bisect_left(pts, x)
-    if i == 0:
-        i = 1
+    i = max(bisect.bisect_left(pts, x), 1)
     a, b = pts[i - 1], pts[i]
-    t = (x - a) / (b - a)
-    return (1.0 - t) / a + t / b + partition.shift
+    return i, (x - a) / (b - a)
+
+
+def eval_gtilde(partition: Partition, x: float) -> float:
+    """Secant interpolation of 1/x at slack ``x``, plus the configured shift."""
+    i, t = _segment(partition, x, "slack")
+    pts = partition.points
+    return (1.0 - t) / pts[i - 1] + t / pts[i] + partition.shift
 
 
 def interpolate_xi(partition: Partition, slack: float, active: bool) -> tuple[float, ...]:
     """Canonical SOS2 weights reproducing ``slack`` (and activity) exactly."""
     K = partition.K
     xi = [0.0] * (K + 2)
-    atol = 1e-9 * max(1.0, partition.upper)
     if not active:
+        atol = 1e-9 * max(1.0, partition.upper)
         if slack < -atol or slack > partition.upper + atol:
             raise ApproxError(f"inactive slack {slack!r} outside [0, {partition.upper!r}]")
         xi[K + 1] = min(max(slack / partition.upper, 0.0), 1.0)
         return tuple(xi)
-    pts = partition.points
-    if slack < partition.eps - atol or slack > partition.upper + atol:
-        raise ApproxError(f"active slack {slack!r} outside [{partition.eps!r}, {partition.upper!r}]")
-    x = min(max(slack, pts[0]), pts[-1])
-    i = bisect.bisect_left(pts, x)
-    if i == 0:
-        i = 1
-    a, b = pts[i - 1], pts[i]
-    t = (x - a) / (b - a)
+    i, t = _segment(partition, slack, "active slack")
     xi[i - 1] = 1.0 - t
     xi[i] = t
     return tuple(xi)
@@ -220,13 +222,13 @@ def resolve_partitions(scn: Scenario) -> QueuePartitions:
             inflow = sum(bounds[(ri, a)] for a in g.in_arcs(n))
             for v in sub.vertices:
                 key = (ri, n, v)
-                vcfg = cfg.processing_by_vertex.get(v, cfg.processing)
+                window = cfg.processing_at(v)
                 cap = sub.cap(v)
                 if alpha == 0.0:
                     if cap < beta:
                         blocked.add(key)
                         continue
-                    upper = vcfg.upper if vcfg.upper is not None else cfg.processing.upper
+                    upper = window.upper
                     if upper is None:
                         raise ApproxError(
                             f"service rate for node {n} at {v} is unbounded; "
@@ -237,7 +239,7 @@ def resolve_partitions(scn: Scenario) -> QueuePartitions:
                 if not upper > 0:
                     blocked.add(key)
                     continue
-                eps = vcfg.eps if vcfg.eps is not None else cfg.processing.eps
+                eps = window.eps
                 if eps is None:
                     eps = upper - inflow
                 if not eps > 0 or not eps < upper:
@@ -245,9 +247,7 @@ def resolve_partitions(scn: Scenario) -> QueuePartitions:
                         f"processing margin window for node {n} at {v} is empty "
                         f"(eps={eps!r}, upper={upper!r}); configure approx.processing"
                     )
-                n_points = vcfg.base_points or cfg.processing.base_points or minimal_base_points(
-                    eps, upper, cfg.error_target
-                )
+                n_points = window.base_points or minimal_base_points(eps, upper, cfg.error_target)
                 processing[key] = compute_partition(eps, upper, n_points, cfg.shift_mode)
     return QueuePartitions(forwarding=forwarding, processing=processing, blocked=frozenset(blocked))
 
@@ -340,7 +340,8 @@ def build_milp(
             float(sub.degree(w)),
         )
 
-    # processing margin and knots
+    # processing margin and knots; each placement's interpolated delay terms
+    proc_delay: dict[tuple[int, str, str], tuple[tuple[float, str], ...]] = {}
     for ri, req in enumerate(scn.requests):
         for n in req.graph.functional:
             for v in V:
@@ -364,6 +365,7 @@ def build_milp(
                     for k in range(part.K + 2)
                 ]
                 m.add_sos2(f"sos2_proc_r{ri}_{naming.node_token(n)}_{v}", xi)
+                proc_delay[key] = tuple(zip(part.values, xi))
                 m.add_con(
                     f"processing_knots_r{ri}_{naming.node_token(n)}_{v}",
                     "processing_knots",
@@ -384,7 +386,7 @@ def build_milp(
 
     # forwarding knots: one SOS2 group per routed flow per ordered vertex pair
     fwd = parts.forwarding
-    fwd_values = [1.0 / fwd.knots[k] + fwd.shift for k in range(fwd.K + 1)]
+    fwd_values = fwd.values
     xi_fwd: dict[tuple, list[str]] = {}
     for key, zname in ctx.z.items():
         ri, a, v, vp, w, wp = key
@@ -393,7 +395,7 @@ def build_milp(
             for k in range(fwd.K + 2)
         ]
         xi_fwd[key] = xi
-        base = f"r{ri}_{naming.arc_token(a)}_{v}_{vp}_{w}_{wp}"
+        base = naming.flow_token(*key)
         m.add_sos2(f"sos2_fwd_{base}", xi)
         m.add_con(
             f"forwarding_knots_{base}",
@@ -422,13 +424,7 @@ def build_milp(
             yield from zip(fwd_values, xi_fwd[key])
 
     def inner_terms(ri, n, v):
-        part = parts.processing.get((ri, n, v))
-        if part is None:
-            return ()
-        return [
-            (1.0 / part.knots[k] + part.shift, naming.xi_proc_name(ri, n, v, k))
-            for k in range(part.K + 1)
-        ]
+        return proc_delay.get((ri, n, v), ())
 
     for name, ri, terms in delay_rows(scn, ctx, hop_terms, inner_terms):
         m.add_con(name, "delay", [(-1.0, ctx.x3[ri]), *terms], "<=", scn.requests[ri].d_max)

@@ -62,13 +62,12 @@ def _fail(kind: str, message: str) -> int:
 
 def _build_model(scn, formulation: str, fixed: bool, prune: bool = False,
                  objective_part=None, pinned=()):
-    if formulation == "miqcp":
-        return build_miqcp(scn, fixed, prune_pinned_tuples=prune,
-                           objective_part=objective_part, pinned_objectives=pinned)
-    if formulation == "milp":
-        return build_milp(scn, fixed, prune_pinned_tuples=prune,
-                          objective_part=objective_part, pinned_objectives=pinned)
-    raise ModelError(f"unknown formulation {formulation!r}")
+    if formulation not in ("miqcp", "milp"):
+        raise ModelError(f"unknown formulation {formulation!r}")
+    # looked up at call time, so a wrapper installed on this module is used
+    build = globals()[f"build_{formulation}"]
+    return build(scn, fixed, prune_pinned_tuples=prune,
+                 objective_part=objective_part, pinned_objectives=pinned)
 
 
 def _write_solution(path: str, values: dict[str, float], objective: float | None = None):
@@ -284,6 +283,10 @@ def _parse_perm_spec(spec: str | None, count: int) -> list[int]:
     return sorted(set(out))
 
 
+# the result fields of an experiment row that produced no result
+_NO_RESULT = {"lateness": "", "exact_lateness": "", "approx_error": ""}
+
+
 def _experiment_cell(payload: dict) -> list[dict]:
     topology = payload["topology"]
     perm = payload["perm"]
@@ -306,8 +309,7 @@ def _experiment_cell(payload: dict) -> list[dict]:
                 row["approx_error"] = ""
                 row["leaves"] = res.certificate["leaves"]
             except OracleScaleError as exc:
-                row.update(status="scale_error", lateness="", exact_lateness="",
-                           approx_error="")
+                row.update(status="scale_error", **_NO_RESULT)
                 row["status_detail"] = str(exc)
             row["wall_s"] = round(time.monotonic() - t0, 6)
             rows.append(row)
@@ -330,9 +332,9 @@ def _experiment_cell(payload: dict) -> list[dict]:
                     "" if report.approximation_error is None else report.approximation_error
                 )
             except subprocess.TimeoutExpired:
-                row.update(status="timeout", lateness="", exact_lateness="", approx_error="")
+                row.update(status="timeout", **_NO_RESULT)
             except (SolutionError, ModelError, ApproxError) as exc:
-                row.update(status="failed", lateness="", exact_lateness="", approx_error="")
+                row.update(status="failed", **_NO_RESULT)
                 row["status_detail"] = str(exc)
             row["wall_s"] = round(time.monotonic() - t0, 6)
             rows.append(row)

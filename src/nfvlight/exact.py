@@ -190,7 +190,7 @@ def add_flow_part(m: Model, scn: Scenario, *, prune_pinned_tuples: bool = False)
             for v, vp, w, wp in itertools.product(V, repeat=4):
                 lam = ctx.lam[(ri, a, v, vp, w, wp)]
                 z = ctx.z[(ri, a, v, vp, w, wp)]
-                base = f"r{ri}_{naming.arc_token(a)}_{v}_{vp}_{w}_{wp}"
+                base = naming.flow_token(ri, a, v, vp, w, wp)
                 m.add_con(
                     f"flow_indicator_ub_{base}",
                     "flow_indicator_ub",
@@ -483,17 +483,15 @@ def build_miqcp(
     for (w, wp) in pairs_ne:
         eta[(w, wp)] = m.add_var(naming.eta_name(w, wp), "eta", lb=0.0, ub=eta_ub)
 
-    def theta_ub(v: str) -> float | None:
-        vcfg = scn.approx.processing_by_vertex.get(v, scn.approx.processing)
-        eps = vcfg.eps if vcfg.eps is not None else scn.approx.processing.eps
-        return (1.0 / eps) if eps is not None else None
-
     theta: dict[tuple[int, str, str], str] = {}
     for ri, req in enumerate(scn.requests):
         for n in req.graph.functional:
             for v in V:
+                # bounded only by a configured eps, which the MILP would derive
+                eps = scn.approx.processing_at(v).eps
                 theta[(ri, n, v)] = m.add_var(
-                    naming.theta_name(ri, n, v), "theta", lb=0.0, ub=theta_ub(v)
+                    naming.theta_name(ri, n, v), "theta", lb=0.0,
+                    ub=None if eps is None else 1.0 / eps,
                 )
 
     # full lightpath routing: fiber hops and wavelength per vertex pair

@@ -19,12 +19,17 @@ def edge_token(edge: tuple[str, str]) -> str:
     return "e{%s,%s}" % edge
 
 
+def flow_token(ri: int, arc: tuple[str, str], v: str, vp: str, w: str, wp: str) -> str:
+    """Index of a routed flow: request, arc, data endpoints, lightpath hop."""
+    return f"r{ri}_{arc_token(arc)}_{v}_{vp}_{w}_{wp}"
+
+
 def lam_name(ri: int, arc: tuple[str, str], v: str, vp: str, w: str, wp: str) -> str:
-    return f"lam_r{ri}_{arc_token(arc)}_{v}_{vp}_{w}_{wp}"
+    return "lam_" + flow_token(ri, arc, v, vp, w, wp)
 
 
 def z_name(ri: int, arc: tuple[str, str], v: str, vp: str, w: str, wp: str) -> str:
-    return f"z_r{ri}_{arc_token(arc)}_{v}_{vp}_{w}_{wp}"
+    return "z_" + flow_token(ri, arc, v, vp, w, wp)
 
 
 def y_name(ri: int, node: str, v: str) -> str:
@@ -65,4 +70,4 @@ def xi_proc_name(ri: int, node: str, v: str, k: int) -> str:
 
 
 def xi_fwd_name(ri: int, arc: tuple[str, str], v: str, vp: str, w: str, wp: str, k: int) -> str:
-    return f"xi_r{ri}_{arc_token(arc)}_{v}_{vp}_{w}_{wp}_k{k}"
+    return f"xi_{flow_token(ri, arc, v, vp, w, wp)}_k{k}"

@@ -2,9 +2,10 @@
 
 The container stores variables, linear and bilinear constraints, SOS2 groups
 and a linear objective.  It is valid from construction: each ``add_*``,
-``fix_var`` and ``set_objective`` call rejects unknown variables, empty
-bounds, bilinear terms outside an MIQCP and variable, row or set names that
-LP/MPS cannot carry before it stores anything.
+``fix_var`` and ``set_objective`` call rejects unknown variables, empty or
+NaN bounds, non-finite coefficients and right-hand sides, bilinear terms
+outside an MIQCP and variable, row or set names that LP/MPS cannot carry
+before it stores anything.  Infinite bounds stay legal.
 Emission is canonical: entries are sorted by name, so two models with the
 same content produce byte-identical files regardless of insertion order.
 In memory, a row's bilinear part is a tuple of products ``(a, terms)``, each
@@ -92,8 +93,9 @@ def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
     """Sum the coefficients per variable, sort by name and drop zero sums.
 
     Terms that are already merged (``(coef, name)`` tuples with distinct
-    names and nonzero ``float`` coefficients) come out as the same tuple
-    objects, only sorted, so rows built from one block of terms share it.
+    names and nonzero finite ``float`` coefficients) come out as the same
+    tuple objects, only sorted, so rows built from one block of terms share
+    it.  A sum that is not finite raises ``ModelError``.
     """
     terms = tuple(terms)
     if set(map(type, terms)) == {tuple} and set(map(len, terms)) == {2}:
@@ -101,12 +103,17 @@ def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
         if (
             0.0 not in coefs
             and set(map(type, coefs)) == {float}
+            # a finite total proves every coefficient finite
+            and math.isfinite(sum(coefs))
             and len(set(map(itemgetter(1), terms))) == len(terms)
         ):
             return tuple(sorted(terms, key=itemgetter(1)))
     acc: dict[str, float] = {}
     for coef, var in terms:
         acc[var] = acc.get(var, 0.0) + coef
+    for var, c in acc.items():
+        if not math.isfinite(c):
+            raise ModelError(f"non-finite coefficient {c!r} on variable {var}")
     return tuple((c, v) for v, c in sorted(acc.items()) if c != 0.0)
 
 
@@ -146,6 +153,8 @@ class Model:
         self.sos2: dict[str, SOS2Set] = {}
         self.objective: tuple[tuple[float, str], ...] = ()
         self.sense = "min"
+        # id -> checked product terms tuple, held so that the id stays unique
+        self._checked_terms: dict[int, tuple] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -163,6 +172,8 @@ class Model:
         _check_name("variable", name)
         if name in self.variables:
             raise ModelError(f"duplicate variable {name}")
+        if math.isnan(lb) or (ub is not None and math.isnan(ub)):
+            raise ModelError(f"variable {name} has a NaN bound")
         if binary:
             lb, ub = max(lb, 0.0), 1.0 if ub is None else min(ub, 1.0)
         if ub is not None and lb > ub + 1e-12:
@@ -173,6 +184,8 @@ class Model:
     def fix_var(self, name: str, value: float) -> None:
         if name not in self.variables:
             raise ModelError(f"cannot fix unknown variable {name}")
+        if math.isnan(value):
+            raise ModelError(f"cannot fix {name} at NaN")
         self.variables[name] = replace(self.variables[name], lb=value, ub=value)
 
     def add_con(
@@ -190,24 +203,27 @@ class Model:
             raise ModelError(f"duplicate constraint {name}")
         if sense not in ("<=", ">=", "="):
             raise ModelError(f"bad sense {sense!r}")
+        if not math.isfinite(rhs):
+            raise ModelError(f"constraint {name} has a non-finite right-hand side {rhs!r}")
         lin = _merge_lin(lin)
         # a (coef, a, b) term is the one-term product (a, ((coef, b),))
         products = tuple(
             (t[0], tuple(t[1])) if len(t) == 2 else (t[1], ((t[0], t[2]),)) for t in quad
         )
-        variables = self.variables
+        variables, checked = self.variables, self._checked_terms
         for _, v in lin:
             if v not in variables:
                 raise ModelError(f"constraint {name} references unknown variable {v}")
-        checked: set[int] = set()  # ids of the terms tuples already checked in this row
         for a, terms in products:
-            if a in variables and (
-                id(terms) in checked or variables.keys() >= set(map(itemgetter(1), terms))
-            ):
-                checked.add(id(terms))
+            if a in variables and id(terms) in checked:
                 continue
-            b = next((b for _, b in terms if a not in variables or b not in variables), "")
-            raise ModelError(f"constraint {name} references unknown variable {a}*{b}")
+            if a not in variables or not variables.keys() >= set(map(itemgetter(1), terms)):
+                b = next((b for _, b in terms if a not in variables or b not in variables), "")
+                raise ModelError(f"constraint {name} references unknown variable {a}*{b}")
+            if not all(map(math.isfinite, map(itemgetter(0), terms))):
+                raise ModelError(f"constraint {name} has a non-finite coefficient on {a}")
+            # variables are never removed, so the terms stay valid for later rows
+            checked[id(terms)] = terms
         if products and self.kind != "miqcp":
             raise ModelError(f"bilinear terms in {name} are only allowed in MIQCP models")
         self.constraints[name] = Constraint(name, family, lin, sense, rhs, products)

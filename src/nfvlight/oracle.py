@@ -238,12 +238,14 @@ class _Search:
         self.fixed_o_path = sum(2.0 * self.sub.delay[f] for f in self.sub.fibers())
         self.fixed_topo = {f: 0 for f in self.sub.fibers()}
 
+        # service ceiling per function and vertex; candidates exceed the arrival
+        self.ceiling: dict[tuple[int, str, str], float] = {}
         self.candidates: dict[tuple[int, str], list[str]] = {}
         for p in self.plans:
             for (n, arrival, alpha, beta) in p.funcs:
                 opts = []
                 for v in self.sub.vertices:
-                    top = (self.sub.cap(v) - beta) / alpha
+                    top = self.ceiling[(p.ri, n, v)] = (self.sub.cap(v) - beta) / alpha
                     if top > arrival + _STAB:
                         opts.append(v)
                 if pin_placements and (p.ri, n) in pin_placements:
@@ -546,9 +548,8 @@ class _Search:
             for p in plans:
                 if not p.funcs:
                     continue
-                (n, arrival, alpha, beta) = p.funcs[0]
-                v = placements[(p.ri, n)]
-                mu_max = (self.sub.cap(v) - beta) / alpha
+                (n, arrival, _alpha, _beta) = p.funcs[0]
+                mu_max = self.ceiling[(p.ri, n, placements[(p.ri, n)])]
                 min_soj[p.ri] = 1.0 / (mu_max - arrival)
                 min_lat = fixed_by_req[p.ri] + min_soj[p.ri] - p.d_max
                 if p.ri in F:
@@ -581,25 +582,28 @@ class _Search:
             return out
 
         two = next((p for p in func_plans if len(p.funcs) == 2), None)
+        if two is not None:
+            # capacity left beyond the arrivals, at one shared vertex or at each
+            (n1, a1, al1, be1), (n2, a2, al2, be2) = two.funcs
+            v1, v2 = placements[(two.ri, n1)], placements[(two.ri, n2)]
+            if v1 == v2:
+                res = self.sub.cap(v1) - be1 - be2 - al1 * a1 - al2 * a2
+            else:
+                r1 = self.sub.cap(v1) - be1 - al1 * a1
+                r2 = self.sub.cap(v2) - be2 - al2 * a2
 
         def feasible(T):
             B = budgets(T)
             if B is None:
                 return False
             if two is not None:
-                (n1, a1, al1, be1), (n2, a2, al2, be2) = two.funcs
-                v1, v2 = placements[(two.ri, n1)], placements[(two.ri, n2)]
                 b = B[two.ri]
                 if v1 == v2:
-                    res = self.sub.cap(v1) - be1 - be2 - al1 * a1 - al2 * a2
                     need = (math.sqrt(al1) + math.sqrt(al2)) ** 2 / b
                     if res <= 0 or need > res + _STAB:
                         return False
-                else:
-                    r1 = self.sub.cap(v1) - be1 - al1 * a1
-                    r2 = self.sub.cap(v2) - be2 - al2 * a2
-                    if r1 <= 0 or r2 <= 0 or al1 / r1 + al2 / r2 > b + _STAB:
-                        return False
+                elif r1 <= 0 or r2 <= 0 or al1 / r1 + al2 / r2 > b + _STAB:
+                    return False
                 return True
             for v, entries in by_vertex.items():
                 need = 0.0
@@ -634,20 +638,15 @@ class _Search:
             T = hi
         B = budgets(T)
         if two is not None:
-            (n1, a1, al1, be1), (n2, a2, al2, be2) = two.funcs
-            v1, v2 = placements[(two.ri, n1)], placements[(two.ri, n2)]
             b = B[two.ri]
             if v1 == v2:
-                res = self.sub.cap(v1) - be1 - be2 - al1 * a1 - al2 * a2
                 if al1 / (b / 2) + al2 / (b / 2) <= res + _STAB:
                     s1 = s2 = b / 2
                 else:
                     s1 = b * math.sqrt(al1) / (math.sqrt(al1) + math.sqrt(al2))
                     s2 = b - s1
             else:
-                m1 = al1 / (self.sub.cap(v1) - be1 - al1 * a1)
-                m2 = al2 / (self.sub.cap(v2) - be2 - al2 * a2)
-                s1 = min(max(b / 2, m1), b - m2)
+                s1 = min(max(b / 2, al1 / r1), b - al2 / r2)
                 s2 = b - s1
             service[(two.ri, n1)] = a1 + 1.0 / s1
             service[(two.ri, n2)] = a2 + 1.0 / s2

@@ -48,6 +48,20 @@ def _positive(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def _connected(nodes: tuple[str, ...], links) -> bool:
+    """Whether every node is reachable from the first, links taken both ways."""
+    adj: dict[str, set[str]] = {n: set() for n in nodes}
+    for (a, b) in links:
+        adj[a].add(b)
+        adj[b].add(a)
+    reach, frontier = {nodes[0]}, [nodes[0]]
+    while frontier:
+        for n in adj[frontier.pop()] - reach:
+            reach.add(n)
+            frontier.append(n)
+    return len(reach) == len(adj)
+
+
 def _integer(raw: object, where: str) -> int:
     """An integer field, given as a JSON integer or an integral float.
 
@@ -128,21 +142,8 @@ class SubstrateNetwork:
                 raise ScenarioError(
                     f"edge {e} needs a finite nonnegative delay", invariant="edge_delay"
                 )
-        # connectivity over the undirected view
-        if self.vertices:
-            reach = {self.vertices[0]}
-            frontier = [self.vertices[0]]
-            adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-            for (a, b) in self.edges:
-                adj[a].append(b)
-            while frontier:
-                u = frontier.pop()
-                for n in adj[u]:
-                    if n not in reach:
-                        reach.add(n)
-                        frontier.append(n)
-            if reach != seen_v:
-                raise ScenarioError("substrate is not connected", invariant="connected")
+        if not _connected(self.vertices, self.edges):
+            raise ScenarioError("substrate is not connected", invariant="connected")
         for v, c in self.capacity.items():
             if v not in seen_v:
                 raise ScenarioError(f"capacity for unknown vertex {v}", invariant="reference")
@@ -257,20 +258,7 @@ class ForwardingGraph:
                 raise ScenarioError(f"duplicate arc ({t},{h})", invariant="duplicate_arc")
             aset.add((t, h))
         self.topological_nodes()
-        # weak connectivity
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for (t, h) in self.arcs:
-            adj[t].add(h)
-            adj[h].add(t)
-        reach = {self.nodes[0]}
-        frontier = [self.nodes[0]]
-        while frontier:
-            u = frontier.pop()
-            for n in adj[u]:
-                if n not in reach:
-                    reach.add(n)
-                    frontier.append(n)
-        if reach != seen:
+        if not _connected(self.nodes, self.arcs):
             raise ScenarioError("forwarding graph is not connected", invariant="connected")
         for arc, row in self.alpha_arc.items():
             if arc not in aset:
@@ -360,6 +348,11 @@ class QueueApprox:
     base_points: int | None = None
 
 
+def _window_dict(qa: QueueApprox) -> dict:
+    """The fields of a window that are set, in declaration order."""
+    return {k: v for k, v in vars(qa).items() if v is not None}
+
+
 @dataclass(frozen=True)
 class ApproxConfig:
     error_target: float = 0.01
@@ -367,6 +360,12 @@ class ApproxConfig:
     processing: QueueApprox = field(default_factory=QueueApprox)
     processing_by_vertex: dict[str, QueueApprox] = field(default_factory=dict)
     shift_mode: str = "zero"  # or "balanced"
+
+    def processing_at(self, v: str) -> QueueApprox:
+        """The processing window at vertex ``v``: each field from its entry in
+        ``processing_by_vertex``, or from ``processing`` where that is unset."""
+        own = self.processing_by_vertex.get(v, self.processing)
+        return replace(self.processing, **_window_dict(own))
 
 
 @dataclass(frozen=True)
@@ -505,20 +504,15 @@ def builtin_topology(
         fibers = [(vs[i], vs[(i + 1) % 6]) for i in range(6)]
     else:
         raise ScenarioError(f"unknown builtin topology {name!r}", invariant="builtin")
-    edges, delay = [], {}
-    for (a, b) in fibers:
-        edges += [(a, b), (b, a)]
-        delay[(a, b)] = delay[(b, a)] = edge_delay
-    net = SubstrateNetwork(
-        vertices=vs,
-        edges=tuple(edges),
-        delay=delay,
-        capacity={},
-        wavelengths=wavelengths,
-        line_rate=line_rate,
-    )
+    net = _fiber_network(vs, fibers, edge_delay, {}, wavelengths, line_rate)
     net.validate()
     return net
+
+
+def _fiber_network(vertices, fibers, delay, capacity, wavelengths, line_rate) -> SubstrateNetwork:
+    """A substrate holding both directions of every fiber, all of one delay."""
+    edges = tuple(e for (a, b) in fibers for e in ((a, b), (b, a)))
+    return SubstrateNetwork(vertices, edges, dict.fromkeys(edges, delay), capacity, wavelengths, line_rate)
 
 
 def _chain_graph(nodes: tuple[str, ...]) -> ForwardingGraph:
@@ -571,18 +565,7 @@ def motivation_scenario(rate_a: float = 1.6, rate_b: float = 2.0) -> Scenario:
     provably beats placing first and reconfiguring lightpaths second."""
     vs = tuple(f"v{i}" for i in range(1, 7))
     fibers = [(vs[0], vs[2]), (vs[1], vs[2]), (vs[2], vs[3]), (vs[3], vs[4]), (vs[3], vs[5])]
-    edges, delay = [], {}
-    for (a, b) in fibers:
-        edges += [(a, b), (b, a)]
-        delay[(a, b)] = delay[(b, a)] = 0.1
-    net = SubstrateNetwork(
-        vertices=vs,
-        edges=tuple(edges),
-        delay=delay,
-        capacity={"v3": 5.0, "v4": 50.0},
-        wavelengths=2,
-        line_rate=4.0,
-    )
+    net = _fiber_network(vs, fibers, 0.1, {"v3": 5.0, "v4": 50.0}, 2, 4.0)
     req_a = Request(
         graph=_chain_graph(("s", "f", "d")),
         d_max=0.0,
@@ -666,13 +649,11 @@ def scenario_to_dict(scn: Scenario) -> dict:
     if ap.shift_mode != "zero":
         approx["shift_mode"] = ap.shift_mode
     for label, qa in (("forwarding", ap.forwarding), ("processing", ap.processing)):
-        entry = {k: v for k, v in (("eps", qa.eps), ("upper", qa.upper), ("base_points", qa.base_points)) if v is not None}
-        if entry:
-            approx[label] = entry
+        if window := _window_dict(qa):
+            approx[label] = window
     if ap.processing_by_vertex:
         approx["processing_by_vertex"] = {
-            v: {k: val for k, val in (("eps", qa.eps), ("upper", qa.upper), ("base_points", qa.base_points)) if val is not None}
-            for v, qa in ap.processing_by_vertex.items()
+            v: _window_dict(qa) for v, qa in ap.processing_by_vertex.items()
         }
     if approx:
         data["approx"] = approx

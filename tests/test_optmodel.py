@@ -224,6 +224,49 @@ class TestConstruction:
             m.add_sos2("s", ("x", "b", "x"))
         assert m.sos2 == {}
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda m: m.add_con("c", "delay", [(math.nan, "x")], "<=", 1.0),
+             "non-finite coefficient nan on variable x"),
+            (lambda m: m.add_con("c", "delay", [(math.inf, "x"), (-math.inf, "x")], "<=", 1.0),
+             "non-finite coefficient nan on variable x"),
+            (lambda m: m.add_con("c", "delay", [], "<=", 1.0, quad=[("x", ((math.inf, "b"),))]),
+             "constraint c has a non-finite coefficient on x"),
+            (lambda m: m.add_con("c", "delay", [(1.0, "x")], "<=", math.inf),
+             "constraint c has a non-finite right-hand side inf"),
+            (lambda m: m.set_objective([(1.0, "free"), (math.inf, "x")], "min"),
+             "non-finite coefficient inf on variable x"),
+            (lambda m: m.add_var("n", "lam", lb=math.nan), "variable n has a NaN bound"),
+            (lambda m: m.add_var("n", "lam", ub=math.nan), "variable n has a NaN bound"),
+            (lambda m: m.fix_var("x", math.nan), "cannot fix x at NaN"),
+        ],
+        ids=["linear", "linear-sum", "product", "rhs", "objective", "lb", "ub", "fix_var"],
+    )
+    def test_non_finite_numbers_rejected_without_side_effects(self, call, match):
+        m = golden_miqcp()
+        state = lambda: (dict(m.variables), dict(m.constraints), dict(m.sos2), m.objective, m.sense)
+        before = state()
+        with pytest.raises(ModelError, match=match):
+            call(m)
+        assert state() == before
+
+    def test_product_terms_with_a_non_finite_coefficient_rejected_in_every_row(self):
+        m = golden_miqcp()
+        bad = ((1.0, "x"), (math.nan, "b"))
+        for name in ("c1", "c2"):
+            with pytest.raises(ModelError, match=f"constraint {name} has a non-finite coefficient"):
+                m.add_con(name, "delay", [], "<=", 1.0, quad=[("free", bad)])
+        assert set(m.constraints) == {"cap", "link", "pin"}
+
+    def test_infinite_bounds_stay_legal(self):
+        m = Model("milp")
+        m.add_var("a", "lam", lb=-math.inf, ub=math.inf)
+        m.add_var("b", "lam")
+        m.fix_var("b", math.inf)
+        assert (m.variables["a"].lb, m.variables["a"].ub) == (-math.inf, math.inf)
+        assert m.variables["b"].lb == m.variables["b"].ub == math.inf
+
 
 class TestEvaluation:
     def test_constraint_lhs_includes_quadratic_part(self):

@@ -1,0 +1,112 @@
+"""Bit-level fingerprint of the oracle and of validation, for before/after checks.
+
+Run it once against each tree to compare, with the package taken from
+``PYTHONPATH`` (it imports ``nfvlight`` and nothing else outside the stdlib):
+
+    PYTHONPATH=src python tools/fingerprint.py 2> items.txt
+
+Each item becomes one canonical line on stderr, with every float written by
+``float.hex``; stdout gets one sha256 per section over those lines.  Equal
+digests mean equal results, bit for bit.  Sections:
+
+* ``oracle``: ``solve_exhaustive`` on path6, barbell6 and cycle6, each over
+  all 120 permutations in joint and fixed mode, plus the motivation scenario
+  in joint, fixed and sequential mode.  Every result field is recorded, the
+  certificate without ``wall_seconds``.
+* ``validation``: path6 permutations 0-19, oracle in joint and fixed mode,
+  each assignment in both formulations: a sha256 of the ``as_assignment``
+  values and, from ``validate``, ``ok``, every violation's name, family and
+  amount, ``max_exact_lateness``, ``model_objective`` and
+  ``approximation_error``.
+
+The run takes about two minutes on one core.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+
+from nfvlight import (
+    as_assignment,
+    build_milp,
+    build_miqcp,
+    builtin_topology,
+    motivation_scenario,
+    permutation_scenario,
+    solve_exhaustive,
+    solve_sequential_baseline,
+    validate,
+)
+
+
+def canon(x):
+    """A JSON-ready copy of ``x``: floats as hex, containers in their order."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return [[canon(k), canon(v)] for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [canon(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return canon({f.name: getattr(x, f.name) for f in dataclasses.fields(x)})
+    return x
+
+
+def line(*parts) -> str:
+    return json.dumps(canon(parts), separators=(",", ":"))
+
+
+def oracle_items():
+    for topology in ("path6", "barbell6", "cycle6"):
+        sub = builtin_topology(topology)
+        for perm in range(120):
+            scn = permutation_scenario(sub, perm, topology_name=topology)
+            for mode in ("joint", "fixed"):
+                yield scn.name, mode, solve_exhaustive(scn, mode == "fixed")
+    scn = motivation_scenario()
+    yield scn.name, "joint", solve_exhaustive(scn)
+    yield scn.name, "fixed", solve_exhaustive(scn, True)
+    yield scn.name, "sequential", solve_sequential_baseline(scn)
+
+
+def oracle_section():
+    for name, mode, res in oracle_items():
+        cert = {k: v for k, v in res.certificate.items() if k != "wall_seconds"}
+        yield line(name, mode, dataclasses.replace(res, certificate=cert))
+
+
+def validation_section():
+    sub = builtin_topology("path6")
+    for perm in range(20):
+        scn = permutation_scenario(sub, perm, topology_name="path6")
+        for mode in ("joint", "fixed"):
+            fixed = mode == "fixed"
+            res = solve_exhaustive(scn, fixed)
+            for kind, build in (("miqcp", build_miqcp), ("milp", build_milp)):
+                values = as_assignment(res, scn, kind)
+                digest = hashlib.sha256(line(sorted(values.items())).encode()).hexdigest()
+                rep = validate(scn, build(scn, fixed), values)
+                yield line(
+                    scn.name, mode, kind, digest, rep.ok,
+                    [(v.name, v.family, v.amount) for v in rep.violations],
+                    rep.max_exact_lateness, rep.model_objective, rep.approximation_error,
+                )
+
+
+def main() -> int:
+    for section, items in (("oracle", oracle_section), ("validation", validation_section)):
+        h = hashlib.sha256()
+        n = 0
+        for text in items():
+            sys.stderr.write(f"{section} {text}\n")
+            h.update(text.encode() + b"\n")
+            n += 1
+        sys.stdout.write(f"{section} {n} {h.hexdigest()}\n")
+        sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
