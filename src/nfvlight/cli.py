@@ -283,7 +283,6 @@ def _parse_perm_spec(spec: str | None, count: int) -> list[int]:
     return sorted(set(out))
 
 
-# the result fields of an experiment row that produced no result
 _NO_RESULT = {"lateness": "", "exact_lateness": "", "approx_error": ""}
 
 
