@@ -110,7 +110,10 @@ def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
             return tuple(sorted(terms, key=itemgetter(1)))
     acc: dict[str, float] = {}
     for coef, var in terms:
-        acc[var] = acc.get(var, 0.0) + coef
+        try:
+            acc[var] = acc.get(var, 0.0) + coef
+        except OverflowError:
+            raise ModelError(f"coefficient on variable {var} is beyond the float range") from None
     for var, c in acc.items():
         if not math.isfinite(c):
             raise ModelError(f"non-finite coefficient {c!r} on variable {var}")
@@ -172,8 +175,11 @@ class Model:
         _check_name("variable", name)
         if name in self.variables:
             raise ModelError(f"duplicate variable {name}")
-        if math.isnan(lb) or (ub is not None and math.isnan(ub)):
-            raise ModelError(f"variable {name} has a NaN bound")
+        try:
+            if math.isnan(lb) or (ub is not None and math.isnan(ub)):
+                raise ModelError(f"variable {name} has a NaN bound")
+        except OverflowError:
+            raise ModelError(f"variable {name} has a bound beyond the float range") from None
         if binary:
             lb, ub = max(lb, 0.0), 1.0 if ub is None else min(ub, 1.0)
         if ub is not None and lb > ub + 1e-12:
@@ -184,8 +190,11 @@ class Model:
     def fix_var(self, name: str, value: float) -> None:
         if name not in self.variables:
             raise ModelError(f"cannot fix unknown variable {name}")
-        if math.isnan(value):
-            raise ModelError(f"cannot fix {name} at NaN")
+        try:
+            if math.isnan(value):
+                raise ModelError(f"cannot fix {name} at NaN")
+        except OverflowError:
+            raise ModelError(f"cannot fix {name} at a value beyond the float range") from None
         self.variables[name] = replace(self.variables[name], lb=value, ub=value)
 
     def add_con(
@@ -203,8 +212,13 @@ class Model:
             raise ModelError(f"duplicate constraint {name}")
         if sense not in ("<=", ">=", "="):
             raise ModelError(f"bad sense {sense!r}")
-        if not math.isfinite(rhs):
-            raise ModelError(f"constraint {name} has a non-finite right-hand side {rhs!r}")
+        try:
+            if not math.isfinite(rhs):
+                raise ModelError(f"constraint {name} has a non-finite right-hand side {rhs!r}")
+        except OverflowError:
+            raise ModelError(
+                f"constraint {name} has a right-hand side beyond the float range"
+            ) from None
         lin = _merge_lin(lin)
         # a (coef, a, b) term is the one-term product (a, ((coef, b),))
         products = tuple(
@@ -220,8 +234,13 @@ class Model:
             if a not in variables or not variables.keys() >= set(map(itemgetter(1), terms)):
                 b = next((b for _, b in terms if a not in variables or b not in variables), "")
                 raise ModelError(f"constraint {name} references unknown variable {a}*{b}")
-            if not all(map(math.isfinite, map(itemgetter(0), terms))):
-                raise ModelError(f"constraint {name} has a non-finite coefficient on {a}")
+            try:
+                if not all(map(math.isfinite, map(itemgetter(0), terms))):
+                    raise ModelError(f"constraint {name} has a non-finite coefficient on {a}")
+            except OverflowError:
+                raise ModelError(
+                    f"constraint {name} has a coefficient beyond the float range on {a}"
+                ) from None
             # variables are never removed, so the terms stay valid for later rows
             checked[id(terms)] = terms
         if products and self.kind != "miqcp":

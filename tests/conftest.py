@@ -1,5 +1,8 @@
-"""Shared fixtures: builtin scenarios and a hand-sized three-vertex instance."""
+"""Shared fixtures: builtin scenarios, a hand-sized three-vertex instance and
+a random small-chain generator."""
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -40,6 +43,39 @@ def make_tiny() -> Scenario:
         dest_restrictions=(("d", "v3", 1.0),),
     )
     scn = Scenario(substrate=sub, requests=(req,), name="tiny")
+    scn.validate()
+    return scn
+
+
+def random_chain_scenario(rng: random.Random, name: str) -> Scenario:
+    """A 3- or 4-vertex line with one single-function chain end to end.
+
+    Delays, the rate, the host vertex and its capacity come from ``rng``,
+    and ``d_max`` is 0 or 1.
+    """
+    n = rng.choice([3, 4])
+    vs = tuple(f"v{k}" for k in range(1, n + 1))
+    edges: list[tuple[str, str]] = []
+    delay = {}
+    for a, b in zip(vs, vs[1:]):
+        d = round(rng.uniform(0.05, 0.3), 3)
+        edges += [(a, b), (b, a)]
+        delay[(a, b)] = delay[(b, a)] = d
+    rate = round(rng.uniform(0.5, 2.5), 3)
+    host = rng.choice(vs[1:-1])
+    sub = SubstrateNetwork(
+        vertices=vs, edges=tuple(edges), delay=delay,
+        capacity={host: round(rate + rng.uniform(1.5, 8.0), 3)},
+        wavelengths=2, line_rate=4.0,
+    )
+    graph = ForwardingGraph(nodes=("s", "f", "d"), arcs=(("s", "f"), ("f", "d")))
+    req = Request(
+        graph=graph, d_max=float(rng.choice([0.0, 1.0])),
+        initial_rates={("s", "f"): rate},
+        source_restrictions=(("s", vs[0], 1.0),),
+        dest_restrictions=(("d", vs[-1], 1.0),),
+    )
+    scn = Scenario(substrate=sub, requests=(req,), name=name)
     scn.validate()
     return scn
 

@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from nfvlight import ForwardingGraph, Request, Scenario, SubstrateNetwork
 from nfvlight.approx import build_milp, compute_partition, eval_gtilde
 from nfvlight.cli import main
 from nfvlight.delays import validate
@@ -35,6 +34,7 @@ from nfvlight.scenario import (
     motivation_scenario,
     permutation_scenario,
 )
+from conftest import random_chain_scenario
 
 REFERENCE_WINDOWS = (
     # eps, upper, points, worst secant error of the equal-error partition
@@ -180,37 +180,10 @@ def test_external_milp_solutions_stay_near_exact_delays(tmp_path):
 
 
 def test_model_emission_and_solution_parsing_round_trip():
-    def random_scenario(rng: random.Random, i: int) -> Scenario:
-        n = rng.choice([3, 4])
-        vs = tuple(f"v{k}" for k in range(1, n + 1))
-        edges: list[tuple[str, str]] = []
-        delay = {}
-        for a, b in zip(vs, vs[1:]):
-            d = round(rng.uniform(0.05, 0.3), 3)
-            edges += [(a, b), (b, a)]
-            delay[(a, b)] = delay[(b, a)] = d
-        rate = round(rng.uniform(0.5, 2.5), 3)
-        host = rng.choice(vs[1:-1])
-        sub = SubstrateNetwork(
-            vertices=vs, edges=tuple(edges), delay=delay,
-            capacity={host: round(rate + rng.uniform(1.5, 8.0), 3)},
-            wavelengths=2, line_rate=4.0,
-        )
-        graph = ForwardingGraph(nodes=("s", "f", "d"), arcs=(("s", "f"), ("f", "d")))
-        req = Request(
-            graph=graph, d_max=float(rng.choice([0.0, 1.0])),
-            initial_rates={("s", "f"): rate},
-            source_restrictions=(("s", vs[0], 1.0),),
-            dest_restrictions=(("d", vs[-1], 1.0),),
-        )
-        scn = Scenario(substrate=sub, requests=(req,), name=f"roundtrip{i}")
-        scn.validate()
-        return scn
-
     rng = random.Random(20260815)
     t0 = time.monotonic()
     for i in range(50):
-        scn = random_scenario(rng, i)
+        scn = random_chain_scenario(rng, f"roundtrip{i}")
         model = build_miqcp(scn) if i % 2 == 0 else build_milp(scn)
         assert emit_lp(model).endswith("End\n")
         if model.kind == "milp":

@@ -368,7 +368,7 @@ class TestExperiment:
         assert by_mode["joint"] == 2.2546099290780144
         assert by_mode["fixed"] == 4.3546099290780145
         leaves = {r["mode"]: r["leaves"] for r in rows if r["perm"] == "0"}
-        assert leaves == {"joint": "55", "fixed": "3"}
+        assert leaves == {"joint": "5", "fixed": "3"}
 
     def test_adapter_rows_leave_the_leaves_column_blank(self, workdir, tmp_path, capsys):
         out = tmp_path / "adapter.csv"

@@ -251,6 +251,36 @@ class TestConstruction:
             call(m)
         assert state() == before
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda m: m.add_con("c", "delay", [(10**400, "x")], "<=", 1.0),
+             "coefficient on variable x is beyond the float range"),
+            (lambda m: m.add_con("c", "delay", [], "<=", 1.0, quad=[("x", ((10**400, "b"),))]),
+             "constraint c has a coefficient beyond the float range on x"),
+            (lambda m: m.add_con("c", "delay", [], "<=", 1.0, quad=[(10**400, "x", "b")]),
+             "constraint c has a coefficient beyond the float range on x"),
+            (lambda m: m.add_con("c", "delay", [(1.0, "x")], "<=", 10**400),
+             "constraint c has a right-hand side beyond the float range"),
+            (lambda m: m.set_objective([(10**400, "x")], "min"),
+             "coefficient on variable x is beyond the float range"),
+            (lambda m: m.add_var("n", "lam", lb=10**400),
+             "variable n has a bound beyond the float range"),
+            (lambda m: m.add_var("n", "lam", ub=10**400),
+             "variable n has a bound beyond the float range"),
+            (lambda m: m.fix_var("x", -(10**400)),
+             "cannot fix x at a value beyond the float range"),
+        ],
+        ids=["linear", "product", "product-triple", "rhs", "objective", "lb", "ub", "fix_var"],
+    )
+    def test_integers_beyond_the_float_range_rejected_without_side_effects(self, call, match):
+        m = golden_miqcp()
+        state = lambda: (dict(m.variables), dict(m.constraints), dict(m.sos2), m.objective, m.sense)
+        before = state()
+        with pytest.raises(ModelError, match=match):
+            call(m)
+        assert state() == before
+
     def test_product_terms_with_a_non_finite_coefficient_rejected_in_every_row(self):
         m = golden_miqcp()
         bad = ((1.0, "x"), (math.nan, "b"))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -18,11 +19,12 @@ from nfvlight.exact import build_miqcp
 from nfvlight.oracle import (
     OracleLimits,
     OracleScaleError,
+    _Search,
     as_assignment,
     solve_exhaustive,
     solve_sequential_baseline,
 )
-from conftest import make_tiny
+from conftest import make_tiny, random_chain_scenario
 
 
 def swap_request(scn: Scenario, **kw) -> Scenario:
@@ -152,7 +154,7 @@ class TestJointOptimum:
             ("v2", "v4"): 0, ("v3", "v6"): 1, ("v2", "v3"): 1, ("v4", "v5"): 0,
         }
         assert res.certificate["certified"] is True
-        assert res.certificate["leaves"] == 55
+        assert res.certificate["leaves"] == 5
         assert res.certificate["placement_rounds"] == 3
 
     def test_certificate_fields(self, tiny_joint):
@@ -300,13 +302,13 @@ class TestLimits:
         assert res.certificate["certified"] is True
 
 
-def test_time_budget_stops_a_search_with_few_leaves(perm0):
-    # The joint path6 perm 0 search has 55 leaves.  The clock is read after
-    # every scored leaf, so a spent budget stops it at the first one that
-    # scores, and the search still returns that leaf as its incumbent.
+def test_time_budget_stops_a_search_with_few_leaves(perm0, perm0_joint):
+    # The joint path6 perm 0 search scores 5 leaves.  The clock is read
+    # after every scored leaf, so a spent budget stops it at the first, and
+    # the search still returns that leaf as its incumbent.
     res = solve_exhaustive(perm0, limits=OracleLimits(max_seconds=0.0))
     assert res.certificate["certified"] is False
-    assert res.certificate["leaves"] < 55
+    assert res.certificate["leaves"] == 1 < perm0_joint.certificate["leaves"]
 
 
 def _perm_outcome(topology, wavelengths, perm, mode):
@@ -322,27 +324,27 @@ FIBERS = "fibers"
 # topology, leaves, placement_rounds, colorings_cached
 PINNED_OUTCOMES = [
     ("barbell6", 6, 0, "joint", 2.2546099290780144, -77.45390070921985, "v2",
-     {("v2", "v4"): 0, ("v2", "v3"): 1, ("v3", "v5"): 1, ("v4", "v6"): 0}, 7005, 3, 1291),
-    ("barbell6", 6, 0, "fixed", 3.254609929078015, -67.45390070921985, "v2", FIBERS, 129, 3, 0),
+     {("v2", "v4"): 0, ("v2", "v3"): 1, ("v3", "v5"): 1, ("v4", "v6"): 0}, 88, 3, 78),
+    ("barbell6", 6, 0, "fixed", 3.254609929078015, -67.45390070921985, "v2", FIBERS, 15, 3, 0),
     ("barbell6", 6, 17, "joint", 2.2546099290780144, -77.45390070921985, "v6",
-     {("v3", "v6"): 0, ("v4", "v6"): 1, ("v2", "v3"): 0, ("v4", "v5"): 0}, 6987, 3, 1291),
-    ("barbell6", 6, 17, "fixed", 3.2333333333333334, -67.66666666666666, "v1", FIBERS, 49, 3, 0),
+     {("v3", "v6"): 0, ("v4", "v6"): 1, ("v2", "v3"): 0, ("v4", "v5"): 0}, 46, 3, 43),
+    ("barbell6", 6, 17, "fixed", 3.2333333333333334, -67.66666666666666, "v1", FIBERS, 10, 3, 0),
     ("barbell6", 6, 55, "joint", 2.2546099290780144, -77.45390070921985, "v5",
-     {("v1", "v4"): 0, ("v2", "v6"): 1, ("v4", "v5"): 0, ("v5", "v6"): 0}, 4486, 3, 1274),
-    ("barbell6", 6, 55, "fixed", 2.7546099290780144, -72.45390070921985, "v5", FIBERS, 45, 3, 0),
+     {("v1", "v4"): 0, ("v2", "v6"): 1, ("v4", "v5"): 0, ("v5", "v6"): 0}, 59, 3, 57),
+    ("barbell6", 6, 55, "fixed", 2.7546099290780144, -72.45390070921985, "v5", FIBERS, 4, 3, 0),
     ("cycle6", 6, 0, "joint", 2.2546099290780144, -77.45390070921985, "v2",
-     {("v2", "v3"): 0, ("v2", "v6"): 0, ("v3", "v4"): 0, ("v5", "v6"): 0}, 961, 3, 541),
-    ("cycle6", 6, 0, "fixed", 2.7546099290780144, -72.45390070921985, "v2", FIBERS, 19, 3, 0),
+     {("v2", "v3"): 0, ("v2", "v6"): 0, ("v3", "v4"): 0, ("v5", "v6"): 0}, 19, 3, 19),
+    ("cycle6", 6, 0, "fixed", 2.7546099290780144, -72.45390070921985, "v2", FIBERS, 5, 3, 0),
     ("cycle6", 6, 40, "joint", 2.1546099290780143, -78.45390070921985, "v1",
-     {("v1", "v2"): 0, ("v1", "v6"): 0, ("v2", "v4"): 0, ("v5", "v6"): 0}, 961, 3, 541),
-    ("cycle6", 6, 40, "fixed", 2.4212765957446813, -75.7872340425532, "v1", FIBERS, 19, 3, 0),
+     {("v1", "v2"): 0, ("v1", "v6"): 0, ("v2", "v4"): 0, ("v5", "v6"): 0}, 6, 3, 6),
+    ("cycle6", 6, 40, "fixed", 2.4212765957446813, -75.7872340425532, "v1", FIBERS, 3, 3, 0),
     # One wavelength: the fiber budget, not the hop loads, prunes the search.
     ("barbell6", 1, 17, "joint", 2.2546099290780144, -77.45390070921985, "v6",
-     {("v2", "v3"): 0, ("v3", "v6"): 0, ("v4", "v5"): 0, ("v5", "v6"): 0}, 113, 3, 40),
-    ("barbell6", 1, 17, "fixed", 3.2333333333333334, -67.66666666666666, "v1", FIBERS, 49, 3, 0),
+     {("v2", "v3"): 0, ("v3", "v6"): 0, ("v4", "v5"): 0, ("v5", "v6"): 0}, 14, 3, 10),
+    ("barbell6", 1, 17, "fixed", 3.2333333333333334, -67.66666666666666, "v1", FIBERS, 10, 3, 0),
     ("cycle6", 1, 40, "joint", 2.1546099290780143, -78.45390070921985, "v1",
-     {("v1", "v2"): 0, ("v1", "v6"): 0, ("v2", "v4"): 0, ("v5", "v6"): 0}, 35, 3, 20),
-    ("cycle6", 1, 40, "fixed", 2.4212765957446813, -75.7872340425532, "v1", FIBERS, 19, 3, 0),
+     {("v1", "v2"): 0, ("v1", "v6"): 0, ("v2", "v4"): 0, ("v5", "v6"): 0}, 3, 3, 3),
+    ("cycle6", 1, 40, "fixed", 2.4212765957446813, -75.7872340425532, "v1", FIBERS, 3, 3, 0),
 ]
 
 
@@ -438,3 +440,81 @@ def test_coupled_allocation_is_pinned_bit_for_bit(tiny, case, fixed):
     assert (cert["leaves"], cert["placement_rounds"]) == (leaves, rounds)
     assert cert["colorings_cached"] == (0 if fixed else colorings)
     assert cert["certified"] is True
+
+
+# ---- branch and bound: the bound removes leaves, never a result ----
+
+# certificate fields that count search work, and the clock
+SEARCH_WORK = ("leaves", "colorings_cached", "wall_seconds")
+
+
+def _bits(x):
+    """``x`` with every float as ``float.hex``, so equality is bit for bit."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return [(_bits(k), _bits(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return [(f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x)]
+    return x
+
+
+def _with_and_without_bound(monkeypatch, solve):
+    """``solve()`` as is, then with the bound never cutting; the results match."""
+    pruned = solve()
+    with monkeypatch.context() as m:
+        m.setattr(_Search, "_prunable", lambda self, mask, segs, chosen, loads: False)
+        full = solve()
+    results = []
+    for res in (pruned, full):
+        cert = {k: v for k, v in res.certificate.items() if k not in SEARCH_WORK}
+        results.append(_bits(dataclasses.replace(res, certificate=cert)))
+    assert results[0] == results[1]
+    assert pruned.certificate["leaves"] <= full.certificate["leaves"]
+    return pruned, full
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bound_keeps_random_chain_results(monkeypatch, seed):
+    base = random_chain_scenario(random.Random(seed), f"bnb{seed}")
+    # the optimum's delay with no budget: a budget equal to it ends
+    # fulfilled, and one just below it barely late
+    delay = solve_exhaustive(swap_request(base, d_max=0.0)).lateness
+    fulfilled = set()
+    for d_max in (0.0, 1.0, delay, delay - 1e-6):
+        scn = swap_request(base, d_max=d_max)
+        for fixed in (False, True):
+            res, _ = _with_and_without_bound(monkeypatch, lambda: solve_exhaustive(scn, fixed))
+            fulfilled.add(res.fulfilled)
+    assert fulfilled == {(True,), (False,)}
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["joint", "fixed"])
+# the generated budget is 0; a positive one checks that the bound subtracts it
+@pytest.mark.parametrize("d_max", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "topology,perm",
+    [("barbell6", 0), ("barbell6", 17), ("barbell6", 101), ("cycle6", 0), ("cycle6", 77)],
+)
+def test_bound_keeps_permutation_results(monkeypatch, topology, perm, d_max, fixed):
+    scn = permutation_scenario(builtin_topology(topology), perm, topology_name=topology)
+    scn = swap_request(scn, d_max=d_max)
+    pruned, full = _with_and_without_bound(monkeypatch, lambda: solve_exhaustive(scn, fixed))
+    if topology == "barbell6":
+        # a bound that never fired would pass the comparison above
+        assert pruned.certificate["leaves"] < full.certificate["leaves"]
+
+
+@pytest.mark.parametrize("mode", ["joint", "fixed", "sequential"])
+def test_bound_stays_off_for_two_requests(monkeypatch, motivation, mode):
+    def solve():
+        if mode == "sequential":
+            return solve_sequential_baseline(motivation)
+        return solve_exhaustive(motivation, mode == "fixed")
+
+    pruned, full = _with_and_without_bound(monkeypatch, solve)
+    # the incumbent embeds both requests, so no single-request mask is cut
+    assert pruned.certificate["leaves"] == full.certificate["leaves"]
+    assert pruned.certificate["colorings_cached"] == full.certificate["colorings_cached"]

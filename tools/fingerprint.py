@@ -12,7 +12,10 @@ digests mean equal results, bit for bit.  Sections:
 * ``oracle``: ``solve_exhaustive`` on path6, barbell6 and cycle6, each over
   all 120 permutations in joint and fixed mode, plus the motivation scenario
   in joint, fixed and sequential mode.  Every result field is recorded, the
-  certificate without ``wall_seconds``.
+  certificate without ``wall_seconds`` and without the search-work counts.
+* ``search``: the search-work counts of the same searches, ``leaves``,
+  ``placement_rounds`` and ``colorings_cached``.  A change to how the search
+  explores (a bound, a filter order) moves this section and no other.
 * ``validation``: path6 permutations 0-19, oracle in joint and fixed mode,
   each assignment in both formulations: a sha256 of the ``as_assignment``
   values and, from ``validate``, ``ok``, every violation's name, family and
@@ -71,10 +74,18 @@ def oracle_items():
     yield scn.name, "sequential", solve_sequential_baseline(scn)
 
 
-def oracle_section():
+# certificate fields that count search work rather than describe the result
+SEARCH_WORK = ("leaves", "placement_rounds", "colorings_cached")
+
+
+def oracle_sections():
+    """The ``oracle`` and ``search`` lines, from one run of every search."""
+    oracle, search = [], []
     for name, mode, res in oracle_items():
-        cert = {k: v for k, v in res.certificate.items() if k != "wall_seconds"}
-        yield line(name, mode, dataclasses.replace(res, certificate=cert))
+        cert = {k: v for k, v in res.certificate.items() if k not in ("wall_seconds", *SEARCH_WORK)}
+        oracle.append(line(name, mode, dataclasses.replace(res, certificate=cert)))
+        search.append(line(name, mode, [res.certificate[k] for k in SEARCH_WORK]))
+    return oracle, search
 
 
 def validation_section():
@@ -96,10 +107,13 @@ def validation_section():
 
 
 def main() -> int:
-    for section, items in (("oracle", oracle_section), ("validation", validation_section)):
+    oracle, search = oracle_sections()
+    for section, items in (
+        ("oracle", oracle), ("search", search), ("validation", validation_section()),
+    ):
         h = hashlib.sha256()
         n = 0
-        for text in items():
+        for text in items:
             sys.stderr.write(f"{section} {text}\n")
             h.update(text.encode() + b"\n")
             n += 1
