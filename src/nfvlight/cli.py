@@ -60,6 +60,12 @@ def _fail(kind: str, message: str) -> int:
     return 1
 
 
+def _check_limit(flag: str, value) -> None:
+    """Reject a limit that is not a finite number >= 0; ``None`` sets no limit."""
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ScenarioError(f"{flag} must be a finite number >= 0, got {value!r}", invariant="limit")
+
+
 def _build_model(scn, formulation: str, fixed: bool, prune: bool = False,
                  objective_part=None, pinned=()):
     if formulation not in ("miqcp", "milp"):
@@ -170,6 +176,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_limit("--timeout", args.timeout)
     scn = load_scenario(args.scenario)
     template = args.adapter or os.environ.get("NFVLIGHT_SOLVER")
     if not template:
@@ -228,6 +235,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_limit("--max-seconds", args.max_seconds)
+    _check_limit("--max-leaves", args.max_leaves)
     scn = load_scenario(args.scenario)
     limits = OracleLimits(max_seconds=args.max_seconds, max_leaves=args.max_leaves)
     if args.mode == "sequential":
@@ -272,15 +281,36 @@ def _parse_perm_spec(spec: str | None, count: int) -> list[int]:
     out: list[int] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if "-" in chunk:
-            a, b = chunk.split("-", 1)
-            out.extend(range(int(a), int(b) + 1))
-        elif chunk:
-            out.append(int(chunk))
-    bad = [i for i in out if i < 0 or i >= count]
+        if not chunk:
+            continue
+        a, dash, b = chunk.partition("-")
+        try:
+            lo = int(a)
+            hi = int(b) if dash else lo
+        except ValueError:
+            raise ScenarioError(f"bad permutation spec {chunk!r}", invariant="permutation") from None
+        if hi < lo:
+            raise ScenarioError(f"reversed permutation range {chunk!r}", invariant="permutation")
+        out.extend(range(lo, hi + 1))
+    if not out:
+        raise ScenarioError(f"no permutation in {spec!r}", invariant="permutation")
+    bad = [i for i in out if i >= count]
     if bad:
         raise ScenarioError(f"permutation index out of range: {bad[0]}", invariant="permutation")
     return sorted(set(out))
+
+
+def _parse_names(spec: str, allowed: tuple[str, ...], what: str) -> list[str]:
+    """The comma-separated names of ``spec``, each one of ``allowed``."""
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    if not names:
+        raise ScenarioError(f"no {what} given", invariant=what)
+    for name in names:
+        if name not in allowed:
+            raise ScenarioError(
+                f"unknown {what} {name!r}; choose from {', '.join(allowed)}", invariant=what
+            )
+    return names
 
 
 _NO_RESULT = {"lateness": "", "exact_lateness": "", "approx_error": ""}
@@ -351,6 +381,13 @@ def cmd_experiment(args) -> int:
                            line_rate=args.line_rate, wavelengths=args.wavelengths)
     n = len(sub.vertices)
     perms = _parse_perm_spec(args.permutations, n * (n - 1) * (n - 2))
+    _check_limit("--max-seconds", args.max_seconds)
+    modes = _parse_names(args.modes, ("joint", "fixed"), "mode")
+    adapter = args.adapter or os.environ.get("NFVLIGHT_SOLVER")
+    # without an adapter the oracle answers and no formulation is built
+    formulations = (
+        _parse_names(args.formulations, ("miqcp", "milp"), "formulation") if adapter else []
+    )
     payloads = [
         {
             "topology": args.topology,
@@ -359,9 +396,9 @@ def cmd_experiment(args) -> int:
                             wavelengths=args.wavelengths),
             "perm_kw": dict(small_capacity=args.small_capacity,
                             large_capacity=args.large_capacity, rate=args.rate),
-            "modes": [m.strip() for m in args.modes.split(",") if m.strip()],
-            "formulations": [f.strip() for f in args.formulations.split(",") if f.strip()],
-            "adapter": args.adapter or os.environ.get("NFVLIGHT_SOLVER"),
+            "modes": modes,
+            "formulations": formulations,
+            "adapter": adapter,
             "format": args.format,
             "max_seconds": args.max_seconds,
         }

@@ -19,6 +19,12 @@ strictly worse than the incumbent; the answer is the one a full enumeration
 finds, bit for bit.  The certificate's ``leaves`` counts the leaves scored
 after pruning.
 
+The simple routes between two vertices over the candidate lightpaths are
+enumerated the first time the search routes a segment between them, and
+kept for the rest of that search.  A search reads only the pairs from the
+source to each placement candidate and from each placement to each
+destination, a few of all ordered pairs.
+
 Two deliberate restrictions keep the search exact but small, and both are
 recorded in the certificate: every lightpath uses the precomputed shortest
 fiber route, and every function is placed wholly at one vertex.
@@ -165,19 +171,22 @@ def _chain_plans(scn: Scenario) -> list[_RequestPlan]:
 class _Route:
     hops: tuple[tuple[str, str], ...]
     pairs: tuple[int, ...]
-    prop: float
 
 
 class _Catalog:
-    """Candidate lightpath pairs and simple routes over them."""
+    """Candidate lightpath pairs, and simple routes over them per vertex pair.
+
+    A search reads the routes of only a few vertex pairs, so ``routes``
+    enumerates a pair's routes the first time it is asked and keeps them.
+    """
 
     def __init__(self, scn: Scenario, table, joint: bool):
         sub = scn.substrate
-        self.vidx = {v: i for i, v in enumerate(sub.vertices)}
+        vidx = {v: i for i, v in enumerate(sub.vertices)}
         fibers = sub.fibers()
-        self.fiber_id = {f: i for i, f in enumerate(fibers)}
+        fiber_id = {f: i for i, f in enumerate(fibers)}
         for (u, v) in fibers:
-            self.fiber_id[(v, u)] = self.fiber_id[(u, v)]
+            fiber_id[(v, u)] = fiber_id[(u, v)]
 
         self.pairs: list[tuple[str, str]] = []
         self.pair_id: dict[tuple[str, str], int] = {}
@@ -185,7 +194,7 @@ class _Catalog:
         verts = sub.vertices
         for i, u in enumerate(verts):
             for v in verts[i + 1:]:
-                if not joint and (u, v) not in self.fiber_id:
+                if not joint and (u, v) not in fiber_id:
                     continue
                 pid = len(self.pairs)
                 self.pairs.append((u, v))
@@ -193,39 +202,42 @@ class _Catalog:
                 self.pair_id[(v, u)] = pid
                 route = table.routes[(u, v)]
                 self.pair_fibers.append(
-                    tuple(sorted({self.fiber_id[(route[k], route[k + 1])] for k in range(len(route) - 1)}))
+                    tuple(sorted({fiber_id[(route[k], route[k + 1])] for k in range(len(route) - 1)}))
                 )
-        neighbors: dict[str, list[str]] = {v: [] for v in verts}
+        self.neighbors: dict[str, list[str]] = {v: [] for v in verts}
         for (u, v) in self.pairs:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        for v in neighbors:
-            neighbors[v].sort(key=self.vidx.__getitem__)
+            self.neighbors[u].append(v)
+            self.neighbors[v].append(u)
+        for v in self.neighbors:
+            self.neighbors[v].sort(key=vidx.__getitem__)
+        self.enumerated: dict[tuple[str, str], tuple[_Route, ...]] = {}
 
-        self.routes: dict[tuple[str, str], tuple[_Route, ...]] = {}
-        for a in verts:
-            for b in verts:
-                if a == b:
-                    continue
-                found: list[_Route] = []
+    def routes(self, a: str, b: str) -> tuple[_Route, ...]:
+        """Every simple route from ``a`` to ``b``, fewest hops first, then by hops."""
+        found = self.enumerated.get((a, b))
+        if found is not None:
+            return found
+        neighbors, pair_id = self.neighbors, self.pair_id
+        routes: list[_Route] = []
+        seen = {a}
+        hops: list[tuple[str, str]] = []
 
-                def dfs(cur: str, seen: set[str], hops: list[tuple[str, str]]):
-                    if cur == b:
-                        pids = tuple(sorted({self.pair_id[h] for h in hops}))
-                        prop = sum(table.dist[h] for h in hops)
-                        found.append(_Route(tuple(hops), pids, prop))
-                        return
-                    for nxt in neighbors[cur]:
-                        if nxt not in seen:
-                            hops.append((cur, nxt))
-                            seen.add(nxt)
-                            dfs(nxt, seen, hops)
-                            seen.discard(nxt)
-                            hops.pop()
+        def dfs(cur: str):
+            if cur == b:
+                routes.append(_Route(tuple(hops), tuple(sorted({pair_id[h] for h in hops}))))
+                return
+            for nxt in neighbors[cur]:
+                if nxt not in seen:
+                    hops.append((cur, nxt))
+                    seen.add(nxt)
+                    dfs(nxt)
+                    seen.discard(nxt)
+                    hops.pop()
 
-                dfs(a, {a}, [])
-                found.sort(key=lambda r: (len(r.hops), r.hops))
-                self.routes[(a, b)] = tuple(found)
+        dfs(a)
+        routes.sort(key=lambda r: (len(r.hops), r.hops))
+        found = self.enumerated[(a, b)] = tuple(routes)
+        return found
 
 
 class _Abort(Exception):
@@ -418,7 +430,7 @@ class _Search:
         pair_fibers = self.catalog.pair_fibers
         limit = self.mu_bar - _STAB
         rate = seg.rate
-        for route in self.catalog.routes.get((seg.va, seg.vb), ()):
+        for route in self.catalog.routes(seg.va, seg.vb):
             # Cheapest test first; every test is free of side effects, so
             # their order does not change which routes survive.
             bad = False

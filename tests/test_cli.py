@@ -213,6 +213,18 @@ class TestSolve:
         assert err["error"] == "SolutionError"
         assert err["message"].startswith("adapter wrote no solution file (exit 0)")
 
+    @pytest.mark.parametrize("timeout", ["nan", "-1"])
+    def test_bad_timeout(self, workdir, capsys, timeout):
+        assert main([
+            "solve", "--scenario", str(workdir / "p0.json"), "--adapter", adapter_for(workdir),
+            "--timeout", timeout,
+        ]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "ScenarioError",
+            "message": f"--timeout must be a finite number >= 0, got {float(timeout)!r}",
+        }
+
     def test_adapter_timeout(self, workdir, capsys):
         slow = "import time; time.sleep(5)"
         assert main([
@@ -348,6 +360,17 @@ class TestOracle:
         }
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--max-seconds", "nan"], "--max-seconds must be a finite number >= 0, got nan"),
+        (["--max-seconds", "-1"], "--max-seconds must be a finite number >= 0, got -1.0"),
+        (["--max-seconds", "inf"], "--max-seconds must be a finite number >= 0, got inf"),
+        (["--max-leaves", "-1"], "--max-leaves must be a finite number >= 0, got -1"),
+    ])
+    def test_bad_limit(self, workdir, capsys, argv, message):
+        assert main(["oracle", "--scenario", str(workdir / "p0.json"), *argv]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ScenarioError", "message": message}
+
+
 class TestExperiment:
     def test_oracle_fallback_rows(self, results_csv, capsys, monkeypatch):
         monkeypatch.delenv("NFVLIGHT_SOLVER", raising=False)
@@ -402,6 +425,44 @@ class TestExperiment:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScenarioError"
         assert "permutation index out of range: 500" in err["message"]
+
+    @pytest.mark.parametrize("spec,message", [
+        ("x", "bad permutation spec 'x'"),
+        ("3-", "bad permutation spec '3-'"),
+        ("-1", "bad permutation spec '-1'"),
+        ("0,1-2-3", "bad permutation spec '1-2-3'"),
+        ("5-2", "reversed permutation range '5-2'"),
+        (",", "no permutation in ','"),
+    ])
+    def test_malformed_permutation_spec(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "x.csv"
+        assert main([
+            "experiment", "--permutations", spec, "--workers", "1", "--out", str(out),
+        ]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ScenarioError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--modes", "joint,bogus"], "unknown mode 'bogus'; choose from joint, fixed"),
+        (["--modes", " , "], "no mode given"),
+        (["--formulations", "milp,lp"], "unknown formulation 'lp'; choose from miqcp, milp"),
+        (["--formulations", ""], "no formulation given"),
+        (["--max-seconds", "nan"], "--max-seconds must be a finite number >= 0, got nan"),
+        (["--max-seconds", "-1"], "--max-seconds must be a finite number >= 0, got -1.0"),
+    ])
+    def test_bad_option_is_rejected_before_any_cell(self, workdir, tmp_path, capsys,
+                                                    monkeypatch, argv, message):
+        def no_cell(payload):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("nfvlight.cli._experiment_cell", no_cell)
+        out = tmp_path / "x.csv"
+        assert main([
+            "experiment", "--permutations", "0", "--adapter", adapter_for(workdir),
+            "--workers", "1", "--out", str(out), *argv,
+        ]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ScenarioError", "message": message}
+        assert not out.exists()
 
 
 class TestPlotdata:

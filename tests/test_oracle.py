@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -15,10 +16,12 @@ from nfvlight import (
     permutation_scenario,
     validate,
 )
+from nfvlight.approx import shortest_paths
 from nfvlight.exact import build_miqcp
 from nfvlight.oracle import (
     OracleLimits,
     OracleScaleError,
+    _Catalog,
     _Search,
     as_assignment,
     solve_exhaustive,
@@ -518,3 +521,67 @@ def test_bound_stays_off_for_two_requests(monkeypatch, motivation, mode):
     # the incumbent embeds both requests, so no single-request mask is cut
     assert pruned.certificate["leaves"] == full.certificate["leaves"]
     assert pruned.certificate["colorings_cached"] == full.certificate["colorings_cached"]
+
+
+# ---- route catalog: routes are enumerated per vertex pair on first use ----
+
+
+def _eager_routes(sub, joint):
+    """Every ordered pair's simple routes over the candidate pairs, enumerated up front.
+
+    Routes are drawn as ordered choices of distinct intermediate vertices,
+    so this reference shares no code with the catalog's depth-first search.
+    """
+    verts = sub.vertices
+    fibers = {frozenset(f) for f in sub.fibers()}
+    pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]
+             if joint or frozenset((u, v)) in fibers]
+    pair_id = {frozenset(p): k for k, p in enumerate(pairs)}
+    routes = {}
+    for a, b in itertools.permutations(verts, 2):
+        middle = [v for v in verts if v not in (a, b)]
+        found = []
+        for k in range(len(middle) + 1):
+            for mid in itertools.permutations(middle, k):
+                path = (a, *mid, b)
+                hops = tuple(zip(path, path[1:]))
+                if all(frozenset(h) in pair_id for h in hops):
+                    found.append((hops, tuple(sorted({pair_id[frozenset(h)] for h in hops}))))
+        found.sort(key=lambda r: (len(r[0]), r[0]))
+        routes[(a, b)] = found
+    return pairs, routes
+
+
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "fixed"])
+@pytest.mark.parametrize("topology", ["path6", "barbell6", "cycle6"])
+def test_catalog_routes_match_an_eager_enumeration(topology, joint):
+    sub = builtin_topology(topology)
+    scn = permutation_scenario(sub, 0, topology_name=topology)
+    catalog = _Catalog(scn, shortest_paths(sub), joint)
+    pairs, routes = _eager_routes(sub, joint)
+    assert catalog.pairs == pairs
+    assert not catalog.enumerated
+    for (a, b), expected in routes.items():
+        got = catalog.routes(a, b)
+        assert [(r.hops, r.pairs) for r in got] == expected
+        assert catalog.routes(a, b) is got
+    if joint:
+        # the pair graph is K6: 65 simple routes between any two vertices
+        assert {len(r) for r in routes.values()} == {65}
+
+
+@pytest.mark.parametrize("perm", [0, 17, 101])
+def test_joint_search_enumerates_only_the_pairs_it_routes(perm):
+    sub = builtin_topology("barbell6")
+    scn = permutation_scenario(sub, perm, topology_name="barbell6")
+    search = _Search(scn, False, None, None)
+    search.run()
+    # segments run from the source to a placement and from it to a destination
+    (plan,) = search.plans
+    ((n, *_r),) = plan.funcs
+    cands = search.candidates[(plan.ri, n)]
+    routable = {(plan.source_vertex, c) for c in cands}
+    routable |= {(c, d) for c in cands for d, _rate in plan.branches}
+    read = set(search.catalog.enumerated)
+    assert read <= routable
+    assert 0 < len(read) < 30
