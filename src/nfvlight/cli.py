@@ -187,7 +187,9 @@ def cmd_solve(args) -> int:
         for part in (1, 2, 3, 4):
             model = _build_model(scn, args.formulation, args.fixed_topology,
                                  objective_part=part, pinned=tuple(pinned))
-            assignment = _run_adapter(model, template, args.timeout, args.format)
+            # each stage overwrites the kept file, so it ends with the last stage's model
+            assignment = _run_adapter(model, template, args.timeout, args.format,
+                                      keep_model=args.keep_model)
             value = objective_value(model, {
                 name: assignment.values.get(name, 0.0) for name in model.variables
             })
@@ -382,6 +384,8 @@ def cmd_experiment(args) -> int:
     n = len(sub.vertices)
     perms = _parse_perm_spec(args.permutations, n * (n - 1) * (n - 2))
     _check_limit("--max-seconds", args.max_seconds)
+    if args.workers < 1:
+        raise ScenarioError(f"--workers must be at least 1, got {args.workers}", invariant="limit")
     modes = _parse_names(args.modes, ("joint", "fixed"), "mode")
     adapter = args.adapter or os.environ.get("NFVLIGHT_SOLVER")
     # without an adapter the oracle answers and no formulation is built
@@ -425,16 +429,28 @@ def cmd_experiment(args) -> int:
 
 def cmd_plotdata(args) -> int:
     with open(args.results, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        columns = reader.fieldnames or []
+
+    def number(row, key) -> float | None:
+        """The cell ``row[key]`` as a number, or None when it is blank."""
+        cell = row.get(key)
+        try:
+            return float(cell) if cell else None
+        except ValueError:
+            msg = f"column {key!r} holds {cell!r}, not a number"
+            raise ScenarioError(msg, invariant="schema") from None
 
     def metric(row) -> float | None:
-        for key in ("exact_lateness", "lateness"):
-            if row.get(key):
-                return float(row[key])
-        return None
+        val = number(row, "exact_lateness")
+        return number(row, "lateness") if val is None else val
 
     lines: list[str] = []
     if args.series == "lateness-gain":
+        for key in ("topology", "perm", "mode"):
+            if key not in columns:
+                raise ScenarioError(f"results lack the {key!r} column", invariant="schema")
         cells: dict[tuple[str, str], dict[str, float]] = {}
         for row in rows:
             val = metric(row)
@@ -454,7 +470,7 @@ def cmd_plotdata(args) -> int:
             lines.append(f"{i} {gain!r} {topo} {perm}")
     elif args.series in ("approx-error-cdf", "time-cdf"):
         key = "approx_error" if args.series == "approx-error-cdf" else "wall_s"
-        vals = sorted(float(r[key]) for r in rows if r.get(key) not in (None, ""))
+        vals = sorted(v for v in (number(r, key) for r in rows) if v is not None)
         lines.append(f"# {key} cumulative_fraction")
         for i, v in enumerate(vals):
             lines.append(f"{v!r} {(i + 1) / len(vals)!r}")

@@ -167,6 +167,29 @@ def _chain_plans(scn: Scenario) -> list[_RequestPlan]:
     return plans
 
 
+def _subsets(items) -> list[frozenset]:
+    """Every subset of ``items``, largest first, then in lexicographic order."""
+    items = sorted(items)
+    return [frozenset(c) for r in range(len(items), -1, -1) for c in itertools.combinations(items, r)]
+
+
+def _request_delays(segs, delays) -> dict[int, float]:
+    """Each request's delay from the delays of its segments, paired in order.
+
+    Chain segments sum from 0.0 in order, plus the slowest branch given a delay.
+    """
+    total: dict[int, float] = {}
+    worst: dict[int, float] = {}
+    for s, d in zip(segs, delays):
+        if s.branch is None:
+            total[s.ri] = total.get(s.ri, 0.0) + d
+        elif d > worst.get(s.ri, -math.inf):
+            worst[s.ri] = d
+    for ri, d in worst.items():
+        total[ri] = total.get(ri, 0.0) + d
+    return total
+
+
 @dataclass(frozen=True)
 class _Route:
     hops: tuple[tuple[str, str], ...]
@@ -327,19 +350,14 @@ class _Search:
     # ---- enumeration ----
 
     def run(self) -> OracleResult:
-        reqs = list(range(len(self.plans)))
-        masks = sorted(
-            (frozenset(c) for r in range(len(reqs), -1, -1) for c in itertools.combinations(reqs, r)),
-            key=lambda s: (-len(s), sorted(s)),
-        )
         try:
-            for mask in masks:
+            for mask in _subsets(range(len(self.plans))):
                 funcs = [(p.ri, n) for p in self.plans if p.ri in mask for (n, *_r) in p.funcs]
                 opts = [self.candidates[key] for key in funcs]
                 if any(not o for o in opts):
                     continue
                 # fulfilled sets each leaf of this mask tries, largest first
-                self.fulfilled = self._fulfilled_subsets(sorted(mask))
+                self.fulfilled = _subsets(mask)
                 for combo in itertools.product(*opts):
                     self.placement_rounds += 1
                     placements = dict(zip(funcs, combo))
@@ -401,20 +419,19 @@ class _Search:
         best = self.best_lex
         if best is None or len(mask) != 1 or best[0] != 0 or best[1] != -1:
             return False
-        dist, mu_bar = self.table.dist, self.mu_bar
-        shared = worst = 0.0
-        for s, hops in zip(segs, chosen):
-            d = 0.0
-            for hop in hops:
-                d += dist[hop] + 1.0 / (mu_bar - loads[hop])
-            if s.branch is None:
-                shared += d
-            elif d > worst:
-                worst = d
         (ri,) = mask
         lateness = best[2]
-        bound = shared + worst - self.plans[ri].d_max
+        delay = _request_delays(segs, [self._route_delay(hops, loads) for hops in chosen])[ri]
+        bound = delay - self.plans[ri].d_max
         return bound - lateness > _STAB * max(1.0, lateness)
+
+    def _route_delay(self, hops, loads) -> float:
+        """A route's delay: each hop's distance plus its queue at ``loads``."""
+        dist, mu_bar = self.table.dist, self.mu_bar
+        d = 0.0
+        for hop in hops:
+            d += dist[hop] + 1.0 / (mu_bar - loads[hop])
+        return d
 
     def _dfs(self, mask, placements, segs, i, pair_used, trans, fiber_cnt, loads, chosen):
         if i == len(segs):
@@ -491,27 +508,7 @@ class _Search:
             o_path = sum(2.0 * self.table.dist[self.catalog.pairs[p]] for p in used)
             topo = {self.catalog.pairs[p]: g for p, g in coloring.items()}
 
-        seg_delay = []
-        for hops in chosen:
-            d = 0.0
-            for hop in hops:
-                d += self.table.dist[hop] + 1.0 / (self.mu_bar - loads[hop])
-            seg_delay.append(d)
-
-        fixed_by_req: dict[int, float] = {}
-        for p in self.plans:
-            if p.ri not in mask:
-                continue
-            shared = 0.0
-            worst = None
-            for s, d in zip(segs, seg_delay):
-                if s.ri != p.ri:
-                    continue
-                if s.branch is None:
-                    shared += d
-                else:
-                    worst = d if worst is None else max(worst, d)
-            fixed_by_req[p.ri] = shared + (worst or 0.0)
+        fixed_by_req = _request_delays(segs, [self._route_delay(hops, loads) for hops in chosen])
 
         o_data = 0.0
         for s, hops in zip(segs, chosen):
@@ -549,13 +546,6 @@ class _Search:
         if max_seconds is not None and time.monotonic() - self.t0 > max_seconds:
             raise _Abort()
 
-    def _fulfilled_subsets(self, embedded):
-        out = []
-        for r in range(len(embedded), -1, -1):
-            for c in itertools.combinations(embedded, r):
-                out.append(frozenset(c))
-        return out
-
     # ---- service-rate allocation ----
 
     def _allocate(self, mask, placements, fixed_by_req, F):
@@ -566,13 +556,10 @@ class _Search:
         every unfulfilled request's lateness lands on the common maximum.
         """
         plans = [p for p in self.plans if p.ri in mask]
-        funcs = []
+        by_vertex: dict[str, list] = {}
         for p in plans:
             for (n, arrival, alpha, beta) in p.funcs:
-                funcs.append((p.ri, n, placements[(p.ri, n)], arrival, alpha, beta))
-        by_vertex: dict[str, list] = {}
-        for f in funcs:
-            by_vertex.setdefault(f[2], []).append(f)
+                by_vertex.setdefault(placements[(p.ri, n)], []).append((p.ri, arrival, alpha, beta))
         shared = any(len(v) > 1 for v in by_vertex.values())
         two_func = any(len(p.funcs) == 2 for p in plans)
 
@@ -657,7 +644,7 @@ class _Search:
                 return True
             for v, entries in by_vertex.items():
                 need = 0.0
-                for (ri, n, _v, arrival, alpha, beta) in entries:
+                for (ri, arrival, alpha, beta) in entries:
                     need += alpha * (arrival + 1.0 / B[ri]) + beta
                 if need > self.sub.cap(v) + _STAB:
                     return False
@@ -887,22 +874,15 @@ def as_assignment(
     def hop_delay(w: str, wp: str) -> float:
         return table.dist[(w, wp)] + eval_gtilde(fwd, mu_bar - result.loads.get((w, wp), 0.0))
 
+    net_delay = _request_delays(
+        result.segments, [sum(hop_delay(w, wp) for (w, wp) in s.hops) for s in result.segments]
+    )
     lat2: dict[int, float] = {}
     for p in plans:
         ri = p.ri
         if not result.embedded[ri]:
             continue
-        shared = 0.0
-        branch: dict[int, float] = {}
-        for s in result.segments:
-            if s.ri != ri:
-                continue
-            d = sum(hop_delay(w, wp) for (w, wp) in s.hops)
-            if s.branch is None:
-                shared += d
-            else:
-                branch[s.branch] = d
-        worst = shared + (max(branch.values()) if branch else 0.0)
+        worst = net_delay[ri]
         for (n, arrival, _a, _b) in p.funcs:
             v = result.placements[(ri, n)]
             part = parts.processing[(ri, n, v)]

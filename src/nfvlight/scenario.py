@@ -128,6 +128,12 @@ class SubstrateNetwork:
             if (a, b) in eset:
                 raise ScenarioError(f"duplicate edge ({a},{b})", invariant="duplicate_edge")
             eset.add((a, b))
+            # checked before the reverse comparison, which NaN would fail
+            d = self.delay.get((a, b))
+            if d is None or not _nonnegative(d):
+                raise ScenarioError(
+                    f"edge {(a, b)} needs a finite nonnegative delay", invariant="edge_delay"
+                )
         for (a, b) in self.edges:
             if (b, a) not in eset:
                 raise ScenarioError(f"edge ({a},{b}) lacks its reverse", invariant="reverse_edge")
@@ -135,12 +141,6 @@ class SubstrateNetwork:
                 raise ScenarioError(
                     f"edge ({a},{b}) and its reverse carry different delays",
                     invariant="reverse_edge",
-                )
-        for e in self.edges:
-            d = self.delay.get(e)
-            if d is None or not _nonnegative(d):
-                raise ScenarioError(
-                    f"edge {e} needs a finite nonnegative delay", invariant="edge_delay"
                 )
         if not _connected(self.vertices, self.edges):
             raise ScenarioError("substrate is not connected", invariant="connected")

@@ -179,6 +179,17 @@ class TestSolve:
             {"part": 4, "value": 59.4},
         ]
 
+    def test_staged_keep_model_holds_the_last_stage(self, workdir, tmp_path, capsys):
+        kept = tmp_path / "kept.lp"
+        assert main([
+            "solve", "--scenario", str(workdir / "p0.json"), "--formulation", "milp",
+            "--adapter", adapter_for(workdir), "--staged", "--keep-model", str(kept),
+        ]) == 0
+        assert len(json.loads(capsys.readouterr().out)["stages"]) == 4
+        # the fourth and last stage pins the first three parts
+        text = kept.read_text()
+        assert "objective_pin_o3" in text and "objective_pin_o4" not in text
+
     def test_missing_adapter(self, workdir, capsys, monkeypatch):
         monkeypatch.delenv("NFVLIGHT_SOLVER", raising=False)
         assert main(["solve", "--scenario", str(workdir / "p0.json")]) == 1
@@ -449,6 +460,8 @@ class TestExperiment:
         (["--formulations", ""], "no formulation given"),
         (["--max-seconds", "nan"], "--max-seconds must be a finite number >= 0, got nan"),
         (["--max-seconds", "-1"], "--max-seconds must be a finite number >= 0, got -1.0"),
+        (["--workers", "0"], "--workers must be at least 1, got 0"),
+        (["--workers", "-2"], "--workers must be at least 1, got -2"),
     ])
     def test_bad_option_is_rejected_before_any_cell(self, workdir, tmp_path, capsys,
                                                     monkeypatch, argv, message):
@@ -497,3 +510,35 @@ class TestPlotdata:
             "plotdata", "--results", str(results_csv), "--series", "approx-error-cdf",
         ]) == 0
         assert capsys.readouterr().out == "# approx_error cumulative_fraction\n"
+
+    @pytest.mark.parametrize("series,column,cell", [
+        ("lateness-gain", "lateness", "abc"),
+        ("lateness-gain", "exact_lateness", "1.5x"),
+        ("time-cdf", "wall_s", "x"),
+        ("approx-error-cdf", "approx_error", "-"),
+    ])
+    def test_non_numeric_cell(self, tmp_path, capsys, series, column, cell):
+        row = {"topology": "path6", "perm": "0", "mode": "joint", "lateness": "1.0",
+               "exact_lateness": "", "wall_s": "0.1", "approx_error": "", column: cell}
+        results = tmp_path / "r.csv"
+        with results.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow(row)
+        assert main(["plotdata", "--results", str(results), "--series", series]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ScenarioError",
+            "message": f"column {column!r} holds {cell!r}, not a number",
+        }
+
+    @pytest.mark.parametrize("column", ["topology", "perm", "mode"])
+    def test_lateness_gain_needs_its_key_columns(self, tmp_path, capsys, column):
+        fields = [f for f in ("topology", "perm", "mode", "lateness") if f != column]
+        results = tmp_path / "r.csv"
+        results.write_text(",".join(fields) + "\n" + ",".join("1" for _ in fields) + "\n")
+        assert main([
+            "plotdata", "--results", str(results), "--series", "lateness-gain",
+        ]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ScenarioError", "message": f"results lack the {column!r} column",
+        }

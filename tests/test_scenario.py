@@ -75,6 +75,12 @@ class TestSubstrate:
         with pytest.raises(ScenarioError, match="different delays"):
             sub.validate()
 
+    def test_nan_edge_delay_names_the_delay_rule(self):
+        # NaN differs from itself, so the reverse comparison must not see it first
+        with pytest.raises(ScenarioError, match="finite nonnegative delay") as exc:
+            builtin_topology("path6", edge_delay=float("nan"))
+        assert exc.value.invariant == "edge_delay"
+
     def test_disconnected_substrate_rejected(self):
         a = line_substrate("v1", "v2")
         b = line_substrate("v3", "v4")
