@@ -434,13 +434,23 @@ def cmd_plotdata(args) -> int:
         columns = reader.fieldnames or []
 
     def number(row, key) -> float | None:
-        """The cell ``row[key]`` as a number, or None when it is blank."""
+        """The cell ``row[key]`` as a finite number, or None when it is blank."""
         cell = row.get(key)
         try:
-            return float(cell) if cell else None
+            val = float(cell) if cell else None
         except ValueError:
             msg = f"column {key!r} holds {cell!r}, not a number"
             raise ScenarioError(msg, invariant="schema") from None
+        if val is not None and not math.isfinite(val):
+            msg = f"column {key!r} holds {cell!r}, not a finite number"
+            raise ScenarioError(msg, invariant="schema")
+        return val
+
+    def require(*keys) -> None:
+        """Fail unless the results hold at least one of ``keys`` as a column."""
+        if not set(keys) & set(columns):
+            names = " or ".join(map(repr, keys))
+            raise ScenarioError(f"results lack the {names} column", invariant="schema")
 
     def metric(row) -> float | None:
         val = number(row, "exact_lateness")
@@ -449,8 +459,8 @@ def cmd_plotdata(args) -> int:
     lines: list[str] = []
     if args.series == "lateness-gain":
         for key in ("topology", "perm", "mode"):
-            if key not in columns:
-                raise ScenarioError(f"results lack the {key!r} column", invariant="schema")
+            require(key)
+        require("lateness", "exact_lateness")
         cells: dict[tuple[str, str], dict[str, float]] = {}
         for row in rows:
             val = metric(row)
@@ -470,6 +480,7 @@ def cmd_plotdata(args) -> int:
             lines.append(f"{i} {gain!r} {topo} {perm}")
     elif args.series in ("approx-error-cdf", "time-cdf"):
         key = "approx_error" if args.series == "approx-error-cdf" else "wall_s"
+        require(key)
         vals = sorted(v for v in (number(r, key) for r in rows) if v is not None)
         lines.append(f"# {key} cumulative_fraction")
         for i, v in enumerate(vals):

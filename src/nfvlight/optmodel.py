@@ -18,8 +18,9 @@ once per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 ROLE_TAGS = ("lam", "mu", "l", "x1", "x2", "x3", "x4", "y", "z", "eta", "theta", "xi")
 
@@ -35,8 +36,9 @@ class SolutionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
+    """An immutable tuple-backed record; ``Model.fix_var`` stores a new one."""
+
     name: str
     role: str
     binary: bool = False
@@ -44,8 +46,9 @@ class Variable:
     ub: float | None = None  # None means unbounded above
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
+    """An immutable tuple-backed record of one row."""
+
     name: str
     family: str
     lin: tuple[tuple[float, str], ...]
@@ -98,7 +101,21 @@ def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
     it.  A sum that is not finite raises ``ModelError``.
     """
     terms = tuple(terms)
-    if set(map(type, terms)) == {tuple} and set(map(len, terms)) == {2}:
+    if len(terms) <= 2:
+        # one direct pass for the 0-2 term rows that most of a model is made of
+        for t in terms:
+            if not (
+                type(t) is tuple and len(t) == 2 and type(t[0]) is float
+                and t[0] != 0.0 and math.isfinite(t[0])
+            ):
+                break
+        else:
+            if len(terms) < 2:
+                return terms
+            a, b = terms
+            if a[1] != b[1]:
+                return terms if a[1] < b[1] else (b, a)
+    elif set(map(type, terms)) == {tuple} and set(map(len, terms)) == {2}:
         coefs = tuple(map(itemgetter(0), terms))
         if (
             0.0 not in coefs
@@ -195,7 +212,7 @@ class Model:
                 raise ModelError(f"cannot fix {name} at NaN")
         except OverflowError:
             raise ModelError(f"cannot fix {name} at a value beyond the float range") from None
-        self.variables[name] = replace(self.variables[name], lb=value, ub=value)
+        self.variables[name] = self.variables[name]._replace(lb=value, ub=value)
 
     def add_con(
         self,
@@ -223,7 +240,7 @@ class Model:
         # a (coef, a, b) term is the one-term product (a, ((coef, b),))
         products = tuple(
             (t[0], tuple(t[1])) if len(t) == 2 else (t[1], ((t[0], t[2]),)) for t in quad
-        )
+        ) if quad else ()
         variables, checked = self.variables, self._checked_terms
         for _, v in lin:
             if v not in variables:

@@ -542,3 +542,64 @@ class TestPlotdata:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ScenarioError", "message": f"results lack the {column!r} column",
         }
+
+    @pytest.mark.parametrize("series,column,cell", [
+        ("lateness-gain", "lateness", "nan"),
+        ("lateness-gain", "exact_lateness", "inf"),
+        ("time-cdf", "wall_s", "-inf"),
+        ("approx-error-cdf", "approx_error", "NaN"),
+    ])
+    def test_non_finite_cell(self, tmp_path, capsys, series, column, cell):
+        row = {"topology": "path6", "perm": "0", "mode": "joint", "lateness": "1.0",
+               "exact_lateness": "", "wall_s": "0.1", "approx_error": "", column: cell}
+        results = tmp_path / "r.csv"
+        with results.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow(row)
+        assert main(["plotdata", "--results", str(results), "--series", series]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ScenarioError",
+            "message": f"column {column!r} holds {cell!r}, not a finite number",
+        }
+
+    def test_nan_lateness_gives_no_gain(self, tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        results.write_text(
+            "topology,perm,mode,lateness\npath6,0,joint,nan\npath6,0,fixed,1.0\n"
+        )
+        assert main([
+            "plotdata", "--results", str(results), "--series", "lateness-gain",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["message"] == (
+            "column 'lateness' holds 'nan', not a finite number"
+        )
+
+    @pytest.mark.parametrize("series,fields,missing", [
+        ("time-cdf", ("topology", "perm", "mode", "lateness"), "'wall_s'"),
+        ("approx-error-cdf", ("topology", "wall_s"), "'approx_error'"),
+        ("lateness-gain", ("topology", "perm", "mode", "wall_s"),
+         "'lateness' or 'exact_lateness'"),
+    ])
+    def test_series_needs_its_value_column(self, tmp_path, capsys, series, fields, missing):
+        results = tmp_path / "r.csv"
+        results.write_text(",".join(fields) + "\n" + ",".join("1" for _ in fields) + "\n")
+        assert main(["plotdata", "--results", str(results), "--series", series]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ScenarioError", "message": f"results lack the {missing} column",
+        }
+
+    @pytest.mark.parametrize("column", ["lateness", "exact_lateness"])
+    def test_lateness_gain_reads_either_lateness_column(self, tmp_path, capsys, column):
+        results = tmp_path / "r.csv"
+        results.write_text(
+            f"topology,perm,mode,{column}\npath6,0,joint,2.0\npath6,0,fixed,3.0\n"
+        )
+        assert main([
+            "plotdata", "--results", str(results), "--series", "lateness-gain",
+        ]) == 0
+        assert capsys.readouterr().out == "# rank gain topology perm\n0 1.5 path6 0\n"

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from nfvlight import build_milp, build_miqcp
 from nfvlight.optmodel import (
     BOUND_TOLERANCE,
+    Constraint,
     Model,
     ModelError,
     SolutionError,
+    Variable,
     _merge_lin,
     constraint_lhs,
     constraint_violation,
@@ -728,3 +730,98 @@ def test_product_rows_evaluate_and_merge_like_their_expansion(case):
             lhs += c * values.get(a, 0.0) * values.get(b, 0.0)
         assert constraint_lhs(con, values) == lhs
         assert con.quad == _reference_merge(flat)
+
+
+# Each kind of term that short rows must treat as longer rows do; ``None``
+# stands for an ordinary term on "b".
+_SHORT_ROW_TERMS = {
+    "list": [1.0, "a"],
+    "int": (2, "a"),
+    "zero": (0.0, "a"),
+    "negative zero": (-0.0, "a"),
+    "nan": (math.nan, "a"),
+    "inf": (-math.inf, "a"),
+    "beyond float": (10**400, "a"),
+    "three-tuple": (1.0, "a", "b"),
+    "unknown": (1.0, "q"),
+    "ordinary": (0.5, "a"),
+}
+_SHORT_ROWS = [pytest.param([], id="empty")] + [
+    pytest.param(row, id=f"{kind}-{shape}")
+    for kind, term in _SHORT_ROW_TERMS.items()
+    for shape, row in (
+        ("alone", [term]),
+        ("first", [term, (-1.0, "b")]),
+        ("second", [(-1.0, "b"), term]),
+    )
+] + [
+    pytest.param([(1.0, "a"), (2.0, "a")], id="repeated"),
+    pytest.param([(1.0, "a"), (-1.0, "a")], id="cancelled"),
+    pytest.param([(1.0, "b"), (-1.0, "b")], id="cancelled-after-a"),
+]
+
+
+def _add_con_outcome(row):
+    """The stored row without the padding names, or the error's type and text."""
+    m = Model("milp")
+    for v in ("a", "b", "pad1", "pad2", "pad3"):
+        m.add_var(v, "lam")
+    try:
+        m.add_con("r", "delay", row, "<=", 1.0)
+    except (ModelError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return _typed([t for t in m.constraints["r"].lin if not t[1].startswith("pad")])
+
+
+@pytest.mark.parametrize("row", _SHORT_ROWS)
+def test_short_rows_store_what_padded_rows_store(row):
+    padded = row + [(1.0, "pad1"), (-2.0, "pad2"), (0.25, "pad3")]
+    assert _add_con_outcome(row) == _add_con_outcome(padded)
+
+
+def test_merged_short_rows_keep_their_term_tuples():
+    m = Model("milp")
+    m.add_var("a", "lam")
+    m.add_var("b", "lam")
+    ta, tb = (1.0, "a"), (-1.0, "b")
+    m.add_con("one", "delay", [tb], "=", 0.0)
+    m.add_con("two", "delay", (tb, ta), "=", 0.0)
+    assert m.constraints["one"].lin[0] is tb
+    lin = m.constraints["two"].lin
+    assert lin == (ta, tb) and lin[0] is ta and lin[1] is tb
+
+
+class TestRecords:
+    def test_fields_and_defaults_are_kept(self):
+        assert Variable._fields == ("name", "role", "binary", "lb", "ub")
+        assert Variable("v", "lam") == Variable("v", "lam", False, 0.0, None)
+        assert Constraint._fields == ("name", "family", "lin", "sense", "rhs", "products")
+        assert Constraint("c", "delay", (), "<=", 1.0).products == ()
+
+    @pytest.mark.parametrize("field", Variable._fields)
+    def test_variable_fields_cannot_be_assigned(self, field):
+        var = golden_miqcp().variables["x"]
+        with pytest.raises(AttributeError):
+            setattr(var, field, 1.0)
+        assert var == Variable("x", "lam", False, 0.0, 5.0)
+
+    @pytest.mark.parametrize("field", Constraint._fields)
+    def test_constraint_fields_cannot_be_assigned(self, field):
+        con = golden_miqcp().constraints["link"]
+        with pytest.raises(AttributeError):
+            setattr(con, field, ())
+        assert con.lin == ((1.0, "free"),) and con.bilinear == ((1.0, "x", "b"),)
+        assert con.quad == ((1.0, "b", "x"),)
+
+    @pytest.mark.parametrize("name,value", [("x", 2.0), ("b", 1.0), ("free", -0.5)])
+    def test_fix_var_changes_only_the_bounds(self, name, value):
+        m = golden_miqcp()
+        before = m.variables[name]
+        m.fix_var(name, value)
+        after = m.variables[name]
+        assert type(after) is Variable
+        assert (after.lb, after.ub) == (value, value)
+        assert after._replace(lb=before.lb, ub=before.ub) == before
+        assert {n: v for n, v in m.variables.items() if n != name} == {
+            n: v for n, v in golden_miqcp().variables.items() if n != name
+        }
