@@ -2,22 +2,25 @@
 
 Each side is exported with ``git archive`` into its own directory under
 ``--workdir``; then ``perfbench/run.py`` runs there on every workload that
-``BENCHMARK.json`` lists, one process at a time, alternating which side goes
-first (odd pairs parent first).  Both sides of a pair get the same seed:
-``--seed + 100 * workload index + pair index``.  Untraced pairs give the
-end-to-end metrics; ``--traced-pairs`` more pairs with ``--trace 1`` give the
-per-layer times and counts.
+``BENCHMARK.json`` lists, for its ``run_seconds``, one process at a time,
+alternating which side goes first (odd pairs parent first).  Both sides of a
+pair get the same seed: ``SEED + 100 * workload index + pair index``.
+``PAIRS`` untraced pairs give the end-to-end metrics; ``TRACED_PAIRS`` more
+pairs with ``--trace 1`` give the per-layer times and counts.
 
     python3 tools/benchpairs.py --parent HEAD~1 --change HEAD --pr 14 \\
-        --workdir ../scratch/bench --pairs 10 --seconds 35
+        --workdir ../scratch/bench
 
 The result goes to ``BENCH_<pr>.json`` at the root of this repository and is
 rewritten after every pair, so an interrupted session keeps what it ran.
-Per workload and metric it holds each side's runs, median and quartiles, the
-pairs the change won (ties count for neither side) and the relative change
-of the median, signed so that positive is better.  Only the standard library
-is used; nothing under ``perfbench/`` is written except in the exported
-copies.
+It names both commits and the git tree ids of their ``src/`` and benchmark
+directories.  Per workload and metric it holds each side's runs, median and
+quartiles, the pairs the change won (ties count for neither side) and the
+relative change of the median, signed so that positive is better.  A run
+that errored, came back incorrect or had failed operations is counted per
+side and kept out of the medians and the pairs; the tool then exits 1.
+Only the standard library is used; nothing under ``perfbench/`` is written
+except in the exported copies.
 """
 from __future__ import annotations
 
@@ -32,6 +35,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+SEED = 3001
+PAIRS = 10  # the fewest that can show a 9-of-10 win
+TRACED_PAIRS = 2
 
 
 def parse_args(argv):
@@ -41,15 +47,7 @@ def parse_args(argv):
     p.add_argument("--pr", required=True, type=int, help="number in the output file name")
     p.add_argument("--workdir", required=True, type=Path,
                    help="directory for the two exported checkouts")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--traced-pairs", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=None,
-                   help="run length; default: run_seconds from BENCHMARK.json")
-    p.add_argument("--seed", type=int, default=3001)
-    args = p.parse_args(argv)
-    if args.pairs < 1 or args.traced_pairs < 0:
-        p.error("--pairs must be at least 1 and --traced-pairs at least 0")
-    return args
+    return p.parse_args(argv)
 
 
 def git(*argv: str) -> bytes:
@@ -64,6 +62,11 @@ def export(side: str, rev: str, workdir: Path) -> tuple[str, Path]:
     dest.mkdir(parents=True)  # fails if it exists: old .perfbench_run state would leak in
     subprocess.run(["tar", "-x", "-C", str(dest)], input=git("archive", commit), check=True)
     return commit, dest
+
+
+def trees(commit: str, paths: list[str]) -> dict:
+    """The git tree id of each path in ``commit``, so equal code can be checked."""
+    return {path: git("rev-parse", f"{commit}:{path}").decode().strip() for path in paths}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -82,19 +85,35 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int)
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def clean(run: dict) -> bool:
+    """A run that finished, was correct and had no failed operation."""
+    return "error" not in run and run["correct"] and run["failed"] == 0
+
+
+def health(runs: list[dict]) -> dict:
+    return {"runs": len(runs),
+            "errored": sum(1 for run in runs if "error" in run),
+            "incorrect": sum(1 for run in runs if "error" not in run and not run["correct"]),
+            "with_failed_ops": sum(1 for run in runs if "error" not in run and run["failed"])}
+
+
 def summarize(runs: dict, better: dict) -> dict:
-    """Per metric: each side's values, median and quartiles, and the pairs won."""
-    out = {}
-    paired = list(zip(runs["parent"], runs["change"]))
-    names = sorted({m for run in runs["parent"] + runs["change"] for m in run.get("metrics", {})})
+    """Per metric: each side's values, median and quartiles, and the pairs won.
+
+    Only clean runs count, and a pair only when both of its runs are clean.
+    """
+    out = {"health": {side: health(runs[side]) for side in SIDES}}
+    kept = {side: [run for run in runs[side] if clean(run)] for side in SIDES}
+    paired = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if clean(p) and clean(c)]
+    names = sorted({m for side in SIDES for run in kept[side] for m in run["metrics"]})
     for name in names:
         sign = -1.0 if better.get(name) == "lower" else 1.0
         entry = {"better": better.get(name, "higher")}
         for side in SIDES:
-            values = [run["metrics"][name] for run in runs[side] if name in run.get("metrics", {})]
+            values = [run["metrics"][name] for run in kept[side] if name in run["metrics"]]
             entry[side] = {"values": values, **quartiles(values)}
         pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in paired
-                 if name in p.get("metrics", {}) and name in c.get("metrics", {})]
+                 if name in p["metrics"] and name in c["metrics"]]
         entry["pairs"] = len(pairs)
         entry["change_wins"] = sum(1 for p, c in pairs if sign * (c - p) > 0)
         entry["parent_wins"] = sum(1 for p, c in pairs if sign * (c - p) < 0)
@@ -117,7 +136,7 @@ def quartiles(values: list[float]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     checkouts, commits = {}, {}
@@ -127,19 +146,19 @@ def main(argv=None) -> int:
     out_path = REPO / f"BENCH_{args.pr}.json"
     doc = {
         "parent": commits["parent"], "change": commits["change"],
-        "settings": {"seconds": seconds, "pairs": args.pairs, "traced_pairs": args.traced_pairs,
-                     "seed": args.seed, "seed_rule": "seed + 100 * workload index + pair index",
+        "trees": {side: trees(commits[side], ["src", *bench["paths"]]) for side in SIDES},
+        "settings": {"seconds": seconds, "pairs": PAIRS, "traced_pairs": TRACED_PAIRS,
+                     "seed": SEED, "seed_rule": "seed + 100 * workload index + pair index",
                      "order": "odd pairs run the parent first"},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "workloads": {},
     }
     runs = {(w, t): {side: [] for side in SIDES} for w in workloads for t in (0, 1)}
-    schedule = [(0, i) for i in range(args.pairs)]
-    schedule += [(1, args.pairs + i) for i in range(args.traced_pairs)]
+    schedule = [(0, i) for i in range(PAIRS)] + [(1, PAIRS + i) for i in range(TRACED_PAIRS)]
     for trace, i in schedule:
         for wi, workload in enumerate(workloads):
-            seed = args.seed + 100 * wi + i
+            seed = SEED + 100 * wi + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 result = run_once(checkouts[side], workload, seed, seconds, trace)
@@ -153,6 +172,12 @@ def main(argv=None) -> int:
                     "per_layer": summarize(runs[w, 1], better),
                 }
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
+    unclean = sum(not clean(run) for side_runs in runs.values()
+                  for side in SIDES for run in side_runs[side])
+    if unclean:
+        print(f"{unclean} runs errored, came back incorrect or had failed operations; "
+              f"they are left out of {out_path.name}", file=sys.stderr)
+        return 1
     return 0
 
 
