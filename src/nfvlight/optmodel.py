@@ -98,7 +98,8 @@ def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
     Terms that are already merged (``(coef, name)`` tuples with distinct
     names and nonzero finite ``float`` coefficients) come out as the same
     tuple objects, only sorted, so rows built from one block of terms share
-    it.  A sum that is not finite raises ``ModelError``.
+    it.  A sum that is not finite, or a term that is not a coefficient and a
+    variable, raises ``ModelError``.
     """
     terms = tuple(terms)
     if len(terms) <= 2:
@@ -126,11 +127,16 @@ def _merge_lin(terms) -> tuple[tuple[float, str], ...]:
         ):
             return tuple(sorted(terms, key=itemgetter(1)))
     acc: dict[str, float] = {}
-    for coef, var in terms:
+    for term in terms:
         try:
+            coef, var = term
             acc[var] = acc.get(var, 0.0) + coef
         except OverflowError:
             raise ModelError(f"coefficient on variable {var} is beyond the float range") from None
+        except (TypeError, ValueError):
+            raise ModelError(
+                f"malformed linear term {term!r}; expected (coefficient, variable)"
+            ) from None
     for var, c in acc.items():
         if not math.isfinite(c):
             raise ModelError(f"non-finite coefficient {c!r} on variable {var}")
@@ -236,7 +242,10 @@ class Model:
             raise ModelError(
                 f"constraint {name} has a right-hand side beyond the float range"
             ) from None
-        lin = _merge_lin(lin)
+        try:
+            lin = _merge_lin(lin)
+        except ModelError as exc:
+            raise ModelError(f"constraint {name}: {exc}") from None
         # a (coef, a, b) term is the one-term product (a, ((coef, b),))
         products = tuple(
             (t[0], tuple(t[1])) if len(t) == 2 else (t[1], ((t[0], t[2]),)) for t in quad
@@ -283,7 +292,10 @@ class Model:
     def set_objective(self, terms, sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise ModelError(f"bad objective sense {sense!r}")
-        terms = _merge_lin(terms)
+        try:
+            terms = _merge_lin(terms)
+        except ModelError as exc:
+            raise ModelError(f"objective: {exc}") from None
         for _, v in terms:
             if v not in self.variables:
                 raise ModelError(f"objective references unknown variable {v}")

@@ -44,3 +44,32 @@ def test_unclean_runs_are_counted_and_left_out():
     assert ops["change"]["values"] == [2.0, 9.0]
     # only the first pair has two clean runs
     assert (ops["pairs"], ops["change_wins"], ops["parent_wins"]) == (1, 1, 0)
+
+
+HASHES = {"oracle": "4d54" + "0" * 60, "search": "d007" + "1" * 60,
+          "validation": "7e4b" + "a" * 60}
+
+
+def fingerprint_output(**counts):
+    return "".join(f"{name} {counts.get(name, 80)} {sha}\n" for name, sha in HASHES.items())
+
+
+def test_fingerprint_sections_are_parsed():
+    out = benchpairs.parse_fingerprint(fingerprint_output(oracle=723, search=723), 0)
+    assert out == {"oracle": {"count": 723, "sha256": HASHES["oracle"]},
+                   "search": {"count": 723, "sha256": HASHES["search"]},
+                   "validation": {"count": 80, "sha256": HASHES["validation"]}}
+
+
+def test_failed_or_malformed_fingerprint_output_is_an_error():
+    good = fingerprint_output()
+    lines = good.splitlines(keepends=True)
+    for stdout, code in [
+        (good, 1),                                         # the run failed
+        ("".join(lines[:2]), 0),                           # a section is missing
+        (good + lines[0], 0),                              # a section repeats
+        (good.replace("search 80", "search x"), 0),        # a count that is no number
+        (good.replace(HASHES["oracle"], "4d54"), 0),       # a digest cut short
+        (good + "Traceback (most recent call last):\n", 0),
+    ]:
+        assert set(benchpairs.parse_fingerprint(stdout, code)) == {"error"}

@@ -283,6 +283,26 @@ class TestConstruction:
             call(m)
         assert state() == before
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda m: m.add_con("c", "delay", [(1.0, "x", "b")], "<=", 1.0),
+             r"constraint c: malformed linear term \(1.0, 'x', 'b'\)"),
+            (lambda m: m.add_con("c", "delay", [(1.0, "x"), (1.0,), (2.0, "b")], "<=", 1.0),
+             r"constraint c: malformed linear term \(1.0,\)"),
+            (lambda m: m.set_objective([(1.0, "x", 2)], "max"),
+             r"objective: malformed linear term \(1.0, 'x', 2\)"),
+        ],
+        ids=["three-tuple", "one-tuple", "objective"],
+    )
+    def test_malformed_linear_terms_rejected_without_side_effects(self, call, match):
+        m = golden_miqcp()
+        state = lambda: (dict(m.variables), dict(m.constraints), dict(m.sos2), m.objective, m.sense)
+        before = state()
+        with pytest.raises(ModelError, match=match):
+            call(m)
+        assert state() == before
+
     def test_product_terms_with_a_non_finite_coefficient_rejected_in_every_row(self):
         m = golden_miqcp()
         bad = ((1.0, "x"), (math.nan, "b"))

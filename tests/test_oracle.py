@@ -468,7 +468,7 @@ def _with_and_without_bound(monkeypatch, solve):
     """``solve()`` as is, then with the bound never cutting; the results match."""
     pruned = solve()
     with monkeypatch.context() as m:
-        m.setattr(_Search, "_prunable", lambda self, mask, segs, chosen, loads: False)
+        m.setattr(_Search, "_late", lambda self, ri, delay: False)
         full = solve()
     results = []
     for res in (pruned, full):
@@ -521,6 +521,89 @@ def test_bound_stays_off_for_two_requests(monkeypatch, motivation, mode):
     # the incumbent embeds both requests, so no single-request mask is cut
     assert pruned.certificate["leaves"] == full.certificate["leaves"]
     assert pruned.certificate["colorings_cached"] == full.certificate["colorings_cached"]
+
+
+# ---- the bound before placement is a lower bound on the bound after it ----
+
+
+def _checked_pre_cuts(monkeypatch, solve):
+    """``solve()`` with each route ``_Search._routes`` judged against ``_prunable``.
+
+    Every route it skips that overloads no hop, once placed, must be cut by
+    ``_prunable`` too.  Every route it keeps that shares no hop with the chosen
+    ones must not be: there both bounds add the same delays in the same order.
+    Returns the counts of skipped and of hop-disjoint kept routes.
+    """
+    routes = _Search._routes
+    seen = {"skipped": 0, "disjoint_kept": 0}
+
+    def spy(self, mask, segs, chosen, loads):
+        seg = segs[len(chosen)]
+        every = iter(self.catalog.routes(seg.va, seg.vb))
+        chosen_hops = {h for hops in chosen for h in hops}
+
+        def exact(route):
+            placed = dict(loads)
+            for hop in route.hops:
+                placed[hop] = placed.get(hop, 0.0) + seg.rate
+            return self._prunable(mask, segs, [*chosen, route.hops], placed)
+
+        # no leaf is scored between a verdict and its check, so both see one incumbent
+        for kept in itertools.chain(routes(self, mask, segs, chosen, loads), [None]):
+            for route in every:
+                if route is kept:
+                    break
+                if all(loads.get(h, 0.0) + seg.rate < self.mu_bar - 1e-9 for h in route.hops):
+                    assert exact(route), (mask, segs, chosen, route)
+                    seen["skipped"] += 1
+            if kept is None:
+                return
+            if chosen_hops.isdisjoint(kept.hops):
+                assert not exact(kept), (mask, segs, chosen, kept)
+                seen["disjoint_kept"] += 1
+            yield kept
+
+    with monkeypatch.context() as m:
+        m.setattr(_Search, "_routes", spy)
+        solve()
+    return seen
+
+
+def test_lateness_test_keeps_its_margin(tiny):
+    search = _Search(tiny, False, None, None)
+    d_max = search.plans[0].d_max
+    for lateness in (0.25, 3.0):
+        search.best_lex = (0.0, -1.0, lateness, 1.0)
+        margin = 1e-9 * max(1.0, lateness)
+        assert not search._late(0, d_max + lateness + margin / 2)
+        assert search._late(0, d_max + lateness + 2 * margin)
+    # no incumbent, or one that fulfils its request or embeds none, turns it off
+    for best in (None, (-1.0, -1.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0)):
+        search.best_lex = best
+        assert not search._late(0, 1e9)
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["joint", "fixed"])
+@pytest.mark.parametrize("d_max", [0.0, 1.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_pre_check_skips_only_what_placement_would_cut_on_random_chains(
+        monkeypatch, seed, d_max, fixed):
+    scn = swap_request(random_chain_scenario(random.Random(seed), f"pre{seed}"), d_max=d_max)
+    _checked_pre_cuts(monkeypatch, lambda: solve_exhaustive(scn, fixed))
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["joint", "fixed"])
+@pytest.mark.parametrize("d_max", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "topology,perm", [("barbell6", 17), ("barbell6", 101), ("cycle6", 77), ("path6", 5)],
+)
+def test_pre_check_skips_only_what_placement_would_cut(monkeypatch, topology, perm, d_max, fixed):
+    scn = permutation_scenario(builtin_topology(topology), perm, topology_name=topology)
+    scn = swap_request(scn, d_max=d_max)
+    seen = _checked_pre_cuts(monkeypatch, lambda: solve_exhaustive(scn, fixed))
+    if topology == "barbell6":
+        # both checks above were exercised
+        assert seen["skipped"] > 0 and seen["disjoint_kept"] > 0
 
 
 # ---- route catalog: routes are enumerated per vertex pair on first use ----

@@ -6,7 +6,10 @@ Each side is exported with ``git archive`` into its own directory under
 alternating which side goes first (odd pairs parent first).  Both sides of a
 pair get the same seed: ``SEED + 100 * workload index + pair index``.
 ``PAIRS`` untraced pairs give the end-to-end metrics; ``TRACED_PAIRS`` more
-pairs with ``--trace 1`` give the per-layer times and counts.
+pairs with ``--trace 1`` give the per-layer times and counts.  Before the
+pairs, ``tools/fingerprint.py`` runs once in each exported tree, with
+``PYTHONPATH`` set to that tree's ``src``; its items go to
+``fingerprint-items.txt`` there.
 
     python3 tools/benchpairs.py --parent HEAD~1 --change HEAD --pr 14 \\
         --workdir ../scratch/bench
@@ -14,17 +17,21 @@ pairs with ``--trace 1`` give the per-layer times and counts.
 The result goes to ``BENCH_<pr>.json`` at the root of this repository and is
 rewritten after every pair, so an interrupted session keeps what it ran.
 It names both commits and the git tree ids of their ``src/`` and benchmark
-directories.  Per workload and metric it holds each side's runs, median and
-quartiles, the pairs the change won (ties count for neither side) and the
-relative change of the median, signed so that positive is better.  A run
-that errored, came back incorrect or had failed operations is counted per
-side and kept out of the medians and the pairs; the tool then exits 1.
+directories.  Under ``fingerprint`` it holds each side's section lines
+(``oracle``, ``search``, ``validation``: item count and sha256) and whether
+the two item files are byte-identical.  Per workload and metric it holds
+each side's runs, median and quartiles, the pairs the change won (ties
+count for neither side) and the relative change of the median, signed so
+that positive is better.  A run that errored, came back incorrect or had
+failed operations is counted per side and kept out of the medians and the
+pairs; the tool then exits 1, as it does when a fingerprint run fails.
 Only the standard library is used; nothing under ``perfbench/`` is written
 except in the exported copies.
 """
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import os
 import platform
@@ -38,6 +45,7 @@ SIDES = ("parent", "change")
 SEED = 3001
 PAIRS = 10  # the fewest that can show a 9-of-10 win
 TRACED_PAIRS = 2
+FINGERPRINT_SECTIONS = ("oracle", "search", "validation")
 
 
 def parse_args(argv):
@@ -67,6 +75,36 @@ def export(side: str, rev: str, workdir: Path) -> tuple[str, Path]:
 def trees(commit: str, paths: list[str]) -> dict:
     """The git tree id of each path in ``commit``, so equal code can be checked."""
     return {path: git("rev-parse", f"{commit}:{path}").decode().strip() for path in paths}
+
+
+def fingerprint(checkout: Path) -> dict:
+    """``tools/fingerprint.py`` run in ``checkout``: its sections, or the reason it gave none."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    with (checkout / "fingerprint-items.txt").open("w") as items:
+        proc = subprocess.run([sys.executable, str(checkout / "tools" / "fingerprint.py")],
+                              stdout=subprocess.PIPE, stderr=items, text=True, cwd=checkout,
+                              env=env)
+    return parse_fingerprint(proc.stdout, proc.returncode)
+
+
+def parse_fingerprint(stdout: str, returncode: int) -> dict:
+    """Each section line ``<name> <count> <sha256>`` of fingerprint output, by name.
+
+    Output from a failed run, or without exactly one well-formed line per
+    section, gives ``{"error": ...}``.
+    """
+    sections: dict[str, dict] = {}
+    for line in stdout.splitlines():
+        parts = line.split()
+        if (len(parts) == 3 and parts[0] in FINGERPRINT_SECTIONS
+                and parts[0] not in sections and parts[1].isdigit()
+                and len(parts[2]) == 64 and set(parts[2]) <= set("0123456789abcdef")):
+            sections[parts[0]] = {"count": int(parts[1]), "sha256": parts[2]}
+        else:
+            return {"error": f"exit {returncode}: unexpected line {line!r}"}
+    if returncode or len(sections) != len(FINGERPRINT_SECTIONS):
+        return {"error": f"exit {returncode}: sections {sorted(sections)}"}
+    return sections
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -143,10 +181,13 @@ def main(argv=None) -> int:
     for side in SIDES:
         commits[side], checkouts[side] = export(side, getattr(args, side), args.workdir)
 
+    prints = {side: fingerprint(checkouts[side]) for side in SIDES}
+    items = [checkouts[side] / "fingerprint-items.txt" for side in SIDES]
     out_path = REPO / f"BENCH_{args.pr}.json"
     doc = {
         "parent": commits["parent"], "change": commits["change"],
         "trees": {side: trees(commits[side], ["src", *bench["paths"]]) for side in SIDES},
+        "fingerprint": {**prints, "items_identical": filecmp.cmp(*items, shallow=False)},
         "settings": {"seconds": seconds, "pairs": PAIRS, "traced_pairs": TRACED_PAIRS,
                      "seed": SEED, "seed_rule": "seed + 100 * workload index + pair index",
                      "order": "odd pairs run the parent first"},
@@ -174,11 +215,13 @@ def main(argv=None) -> int:
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
     unclean = sum(not clean(run) for side_runs in runs.values()
                   for side in SIDES for run in side_runs[side])
+    failed = [side for side in SIDES if "error" in prints[side]]
+    if failed:
+        print(f"the fingerprint failed on {', '.join(failed)}", file=sys.stderr)
     if unclean:
         print(f"{unclean} runs errored, came back incorrect or had failed operations; "
               f"they are left out of {out_path.name}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed or unclean else 0
 
 
 if __name__ == "__main__":
