@@ -261,8 +261,6 @@ def build_milp(
     fixed_topology: bool = False,
     *,
     prune_pinned_tuples: bool = False,
-    objective_part: int | None = None,
-    pinned_objectives=(),
 ) -> Model:
     """Compile the wavelength-assignment-only piecewise-linear formulation."""
     scn.validate()
@@ -440,5 +438,5 @@ def build_milp(
         for g in gammas
         if table.dist[(w, wp)]
     ]
-    apply_objective(m, scn, ctx, path_terms, objective_part, pinned_objectives)
+    apply_objective(m, scn, ctx, path_terms)
     return m

@@ -66,14 +66,12 @@ def _check_limit(flag: str, value) -> None:
         raise ScenarioError(f"{flag} must be a finite number >= 0, got {value!r}", invariant="limit")
 
 
-def _build_model(scn, formulation: str, fixed: bool, prune: bool = False,
-                 objective_part=None, pinned=()):
+def _build_model(scn, formulation: str, fixed: bool, prune: bool = False):
     if formulation not in ("miqcp", "milp"):
         raise ModelError(f"unknown formulation {formulation!r}")
     # looked up at call time, so a wrapper installed on this module is used
     build = globals()[f"build_{formulation}"]
-    return build(scn, fixed, prune_pinned_tuples=prune,
-                 objective_part=objective_part, pinned_objectives=pinned)
+    return build(scn, fixed, prune_pinned_tuples=prune)
 
 
 def _write_solution(path: str, values: dict[str, float], objective: float | None = None):
@@ -183,17 +181,15 @@ def cmd_solve(args) -> int:
         return _fail("no_adapter", "pass --adapter or set NFVLIGHT_SOLVER")
     stages = []
     if args.staged:
-        pinned: list[tuple[int, float]] = []
-        for part in (1, 2, 3, 4):
-            model = _build_model(scn, args.formulation, args.fixed_topology,
-                                 objective_part=part, pinned=tuple(pinned))
+        # one model, re-targeted per stage; each solved part is pinned before the next
+        model = _build_model(scn, args.formulation, args.fixed_topology)
+        for part, (terms, sense) in sorted(model.objective_parts.items()):
+            model.set_objective(terms, sense)
             # each stage overwrites the kept file, so it ends with the last stage's model
             assignment = _run_adapter(model, template, args.timeout, args.format,
                                       keep_model=args.keep_model)
-            value = objective_value(model, {
-                name: assignment.values.get(name, 0.0) for name in model.variables
-            })
-            pinned.append((part, value))
+            value = objective_value(model, assignment.values)
+            model.add_con(f"objective_pin_o{part}", "objective_pin", terms, "=", value)
             stages.append({"part": part, "value": value})
     final_model = _build_model(scn, args.formulation, args.fixed_topology)
     if args.staged:

@@ -408,17 +408,15 @@ def apply_objective(
     scn: Scenario,
     ctx: FlowContext,
     path_terms: list[tuple[float, str]],
-    objective_part: int | None = None,
-    pinned_objectives=(),
 ) -> None:
-    """Install the weighted objective, or a single stage of it.
+    """Install the weighted objective and record its four parts on the model.
 
     ``path_terms`` carries the propagation-cost expression, which differs
-    between the two formulations.  A staged solve optimizes one part at a
-    time; earlier parts are pinned to their solved values via equality rows.
+    between the two formulations.  ``m.objective_parts`` maps each part to
+    its terms and the sense a staged solve optimizes it in: fulfilled and
+    embedded counts are maximized, lateness and resource use minimized.
     """
     W = scn.weights
-    V = scn.substrate.vertices
 
     def degenerate(k) -> bool:
         _, _, v, vp, w, wp = k
@@ -428,32 +426,22 @@ def apply_objective(
         ((0.5 if degenerate(k) else 1.0), name) for k, name in sorted(ctx.lam.items())
     ]
     proc_terms = [(1.0, name) for _, name in sorted(ctx.mu.items())]
-
-    parts: dict[int, list[tuple[float, str]]] = {
-        1: [(1.0, x) for x in ctx.x1],
-        2: [(1.0, x) for x in ctx.x2],
-        3: [(1.0, ctx.x4)],
-        4: (
-            [(W.path_cost * c, n) for c, n in path_terms]
-            + [(W.data_cost * c, n) for c, n in data_terms]
-            + [(W.proc_cost * c, n) for c, n in proc_terms]
-        ),
+    resources = (
+        [(W.path_cost * c, n) for c, n in path_terms]
+        + [(W.data_cost * c, n) for c, n in data_terms]
+        + [(W.proc_cost * c, n) for c, n in proc_terms]
+    )
+    m.objective_parts = {
+        1: ([(1.0, x) for x in ctx.x1], "max"),
+        2: ([(1.0, x) for x in ctx.x2], "max"),
+        3: ([(1.0, ctx.x4)], "min"),
+        4: (resources, "min"),
     }
-
-    if objective_part is None:
-        terms = [(W.lateness, ctx.x4)]
-        terms += [(-W.fulfilled, x) for x in ctx.x1]
-        terms += [(-W.embedded, x) for x in ctx.x2]
-        terms += [(W.resources * c, n) for c, n in parts[4]]
-        m.set_objective(terms, "min")
-    else:
-        if objective_part not in parts:
-            raise ModelError(f"unknown objective part {objective_part!r}")
-        m.set_objective(parts[objective_part], "max" if objective_part in (1, 2) else "min")
-    for part, value in pinned_objectives:
-        if part not in parts:
-            raise ModelError(f"unknown pinned objective part {part!r}")
-        m.add_con(f"objective_pin_o{part}", "objective_pin", list(parts[part]), "=", value)
+    terms = [(W.lateness, ctx.x4)]
+    terms += [(-W.fulfilled, x) for x in ctx.x1]
+    terms += [(-W.embedded, x) for x in ctx.x2]
+    terms += [(W.resources * c, n) for c, n in resources]
+    m.set_objective(terms, "min")
 
 
 def build_miqcp(
@@ -461,8 +449,6 @@ def build_miqcp(
     fixed_topology: bool = False,
     *,
     prune_pinned_tuples: bool = False,
-    objective_part: int | None = None,
-    pinned_objectives=(),
 ) -> Model:
     """Compile the exact formulation with full lightpath routing variables."""
     scn.validate()
@@ -669,5 +655,5 @@ def build_miqcp(
     path_terms = []
     for (w, wp) in pairs_ne:
         path_terms.extend(psi_terms[(w, wp)])
-    apply_objective(m, scn, ctx, path_terms, objective_part, pinned_objectives)
+    apply_objective(m, scn, ctx, path_terms)
     return m

@@ -14,6 +14,10 @@ tuples, so a variable times a common linear expression costs one entry.
 Products keep the order the builder gave them; they are expanded, merged
 and sorted only when a canonical view is asked for, which LP emission does
 once per row.
+A builder may also record the parts of a weighted objective in
+``Model.objective_parts``, each part's terms with the sense it is optimized
+in on its own.  A staged solve sets one part after another as the objective
+of the same model and pins each solved part with an equality row.
 """
 from __future__ import annotations
 
@@ -179,6 +183,8 @@ class Model:
         self.sos2: dict[str, SOS2Set] = {}
         self.objective: tuple[tuple[float, str], ...] = ()
         self.sense = "min"
+        # part -> (terms, sense), for a staged solve to set one at a time
+        self.objective_parts: dict[int, tuple[list[tuple[float, str]], str]] = {}
         # id -> checked product terms tuple, held so that the id stays unique
         self._checked_terms: dict[int, tuple] = {}
 
@@ -508,7 +514,7 @@ def emit_mps(model: Model) -> str:
             out.append(f" UP BND  {vname}  {num(var.ub)}")
     if model.sos2:
         out.append("SOS")
-        for sidx, name in enumerate(sorted(model.sos2)):
+        for name in sorted(model.sos2):
             out.append(f" S2 SOS  {name}")
             for i, v in enumerate(model.sos2[name].members):
                 out.append(f"    {v}  {num(float(i + 1))}")

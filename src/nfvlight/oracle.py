@@ -19,16 +19,18 @@ strictly worse than the incumbent; the answer is the one a full enumeration
 finds, bit for bit.  The certificate's ``leaves`` counts the leaves scored
 after pruning.
 
-The bound is tested twice per route.  Before the transceiver and wavelength
-budgets, in the same pass over the route's hops as the load check, the
-route's delay at the loads it would leave is added to the delay the chosen
-segments had at the node's entry.  Loads only grow and float ``+``, ``-``
-and ``/`` round monotonically, so this is never above the bound after
-placement, and every route it skips would have been cut anyway: the search
-counts (leaves, placement rounds, cached colorings) are those of the test
-after placement alone.  That test stays, since a route that shares hops
-with chosen ones slows them.  On 80 barbell6 searches the budget test runs
-17,944 times instead of 152,727.
+Each search node times its chosen segments once, on entry, each hop at its
+current load.  That timing is the bound after placement of the route that
+led to the node, which matters since a route that shares hops with chosen
+ones slows them; a leaf scores the same delays.  Before the transceiver and
+wavelength budgets, in the same pass over a candidate route's hops as the
+load check, the route's delay at the loads it would leave is added to the
+node's timing.  Loads only grow and float ``+``, ``-`` and ``/`` round
+monotonically, so this is never above the bound after placement, and every
+route it skips would have been cut anyway: the search counts (leaves,
+placement rounds, cached colorings) are those of the test after placement
+alone.  On 80 barbell6 searches the budget test runs 17,944 times instead
+of 152,727.
 
 The simple routes between two vertices over the candidate lightpaths are
 enumerated the first time the search routes a segment between them, and
@@ -443,17 +445,6 @@ class _Search:
         lateness = best[2]
         return delay - self.plans[ri].d_max - lateness > _STAB * max(1.0, lateness)
 
-    def _prunable(self, mask, segs, chosen, loads) -> bool:
-        """Whether every leaf below this node scores strictly worse than the incumbent.
-
-        The request's delay over the chosen routes, each hop at its current load.
-        """
-        if len(mask) != 1:
-            return False
-        (ri,) = mask
-        delays = [self._route_delay(hops, loads) for hops in chosen]
-        return self._late(ri, _request_delays(segs, delays)[ri])
-
     def _route_delay(self, hops, loads, rate=0.0) -> float:
         """A route's delay once ``rate`` more is on each hop: distance plus queue.
 
@@ -468,34 +459,45 @@ class _Search:
             d += dist[hop] + 1.0 / (mu_bar - load)
         return d
 
-    def _routes(self, mask, segs, chosen, loads):
+    def _routes(self, segs, chosen, loads, parts):
         """The routes for segment ``len(chosen)`` that overload no hop and pass the bound.
 
-        The bound before placement of the module docstring: the request's
-        delay over the chosen routes, taken once for the node, plus the
-        route's delay at the loads it would leave, timed in the load check's
-        pass.  The incumbent is read per route; earlier routes' subtrees may
-        have improved it.
+        The bound before placement of the module docstring, when ``parts`` is
+        the one request's ``(ri, chain, slowest)`` over the chosen routes:
+        that delay plus the route's delay at the loads it would leave, timed
+        in the load check's pass.  The incumbent is read per route; earlier
+        routes' subtrees may have improved it.
         """
         seg = segs[len(chosen)]
         rate, branch = seg.rate, seg.branch is not None
-        bounded = len(mask) == 1
-        if bounded:
-            (ri,) = mask
-            chain, slowest = _request_parts(segs, [self._route_delay(h, loads) for h in chosen])
-            chain, slowest = chain.get(ri, 0.0), slowest.get(ri, -math.inf)
         for route in self.catalog.routes(seg.va, seg.vb):
             d = self._route_delay(route.hops, loads, rate)
             if d == math.inf:
                 continue
-            # the request's delay as _request_delays gives it with this route chosen
-            if bounded and self._late(ri, chain + max(slowest, d) if branch else chain + d):
-                continue
+            if parts is not None:
+                ri, chain, slowest = parts
+                # the request's delay as _request_delays gives it with this route chosen
+                if self._late(ri, chain + max(slowest, d) if branch else chain + d):
+                    continue
             yield route
 
     def _dfs(self, mask, placements, segs, i, pair_used, trans, fiber_cnt, loads, chosen):
-        if i == len(segs):
-            self._leaf(mask, placements, segs, chosen, loads, pair_used)
+        leaf = i == len(segs)
+        parts = None
+        if len(mask) == 1 or leaf:
+            # the chosen routes' delays, each hop at its current load, timed once per node
+            delays = [self._route_delay(h, loads) for h in chosen]
+            if len(mask) == 1:
+                # The bound after placement: a route sharing hops with chosen
+                # ones slowed them.  At the root it compares 0 and never cuts.
+                (ri,) = mask
+                chain, slowest = _request_parts(segs, delays)
+                chain, slowest = chain.get(ri, 0.0), slowest.get(ri, -math.inf)
+                if self._late(ri, chain if slowest == -math.inf else chain + slowest):
+                    return
+                parts = (ri, chain, slowest)
+        if leaf:
+            self._leaf(mask, placements, segs, chosen, delays, loads, pair_used)
             return
         seg = segs[i]
         if seg.va == seg.vb:
@@ -508,8 +510,8 @@ class _Search:
         rate = seg.rate
         # Cheapest test first: hop loads and the bound, then the budgets.
         # No test has side effects, and the bound in _routes skips only
-        # routes _prunable would cut, so the order changes no count.
-        for route in self._routes(mask, segs, chosen, loads):
+        # routes the child's bound would cut, so the order changes no count.
+        for route in self._routes(segs, chosen, loads, parts):
             # Every key of pair_used counts at least one route.
             new_pairs = [p for p in route.pairs if p not in pair_used]
             if new_pairs and not self.fixed and not self._fits(new_pairs, trans, fiber_cnt):
@@ -528,9 +530,7 @@ class _Search:
                 loads[hop] = loads.get(hop, 0.0) + rate
             chosen.append(route.hops)
 
-            # a route sharing hops with chosen ones slowed them
-            if not self._prunable(mask, segs, chosen, loads):
-                self._dfs(mask, placements, segs, i + 1, pair_used, trans, fiber_cnt, loads, chosen)
+            self._dfs(mask, placements, segs, i + 1, pair_used, trans, fiber_cnt, loads, chosen)
 
             chosen.pop()
             for hop in route.hops:
@@ -549,7 +549,7 @@ class _Search:
 
     # ---- leaf evaluation ----
 
-    def _leaf(self, mask, placements, segs, chosen, loads, pair_used):
+    def _leaf(self, mask, placements, segs, chosen, delays, loads, pair_used):
         self._tick()
         if self.fixed:
             o_path, topo = self.fixed_o_path, self.fixed_topo
@@ -562,7 +562,7 @@ class _Search:
             o_path = sum(2.0 * self.table.dist[self.catalog.pairs[p]] for p in used)
             topo = {self.catalog.pairs[p]: g for p, g in coloring.items()}
 
-        fixed_by_req = _request_delays(segs, [self._route_delay(hops, loads) for hops in chosen])
+        fixed_by_req = _request_delays(segs, delays)
 
         o_data = 0.0
         for s, hops in zip(segs, chosen):

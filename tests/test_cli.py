@@ -1,6 +1,7 @@
 """Command line harness, exercised in process through main(argv)."""
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import sys
@@ -189,6 +190,22 @@ class TestSolve:
         # the fourth and last stage pins the first three parts
         text = kept.read_text()
         assert "objective_pin_o3" in text and "objective_pin_o4" not in text
+
+    def test_staged_builds_one_model_for_the_stages_and_one_to_validate(
+            self, workdir, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_milp(*args, **kwargs)
+
+        monkeypatch.setattr("nfvlight.cli.build_milp", counted)
+        assert main([
+            "solve", "--scenario", str(workdir / "p0.json"), "--formulation", "milp",
+            "--adapter", adapter_for(workdir), "--staged",
+        ]) == 0
+        assert len(json.loads(capsys.readouterr().out)["stages"]) == 4
+        assert len(calls) == 2
 
     def test_missing_adapter(self, workdir, capsys, monkeypatch):
         monkeypatch.delenv("NFVLIGHT_SOLVER", raising=False)
@@ -427,6 +444,32 @@ class TestExperiment:
         }
         [row] = csv.DictReader(out.open())
         assert row["status"] == "oracle_uncertified"
+
+    def test_worker_processes_write_the_rows_of_one_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("NFVLIGHT_SOLVER", raising=False)
+        pools = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        tables = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.csv"
+            assert main([
+                "experiment", "--topology", "barbell6", "--permutations", "0-3",
+                "--workers", workers, "--out", str(out),
+            ]) == 0
+            rows = list(csv.DictReader(out.open()))
+            for row in rows:
+                del row["wall_s"]
+            tables[workers] = rows
+        capsys.readouterr()
+        # only the two-worker run went through the pool
+        assert len(pools) == 1
+        assert len(tables["1"]) == 8 and tables["2"] == tables["1"]
 
     def test_bad_permutation_spec(self, tmp_path, capsys):
         assert main([

@@ -19,8 +19,13 @@ VARIANTS = {
     "default": {},
     "fixed": {"fixed_topology": True},
     "prune": {"prune_pinned_tuples": True},
-    "part1": {"objective_part": 1},
-    "part4": {"objective_part": 4, "pinned_objectives": ((1, 1.0), (2, 1.0))},
+}
+
+# staged variants: a default model re-targeted to one objective part, with
+# earlier parts pinned at the given values, as ``solve --staged`` does
+STAGES = {
+    "part1": (1, ()),
+    "part4": (4, ((1, 1.0), (2, 1.0))),
 }
 
 DIGESTS = {
@@ -58,7 +63,13 @@ def test_emitted_text_matches_golden_digest(case, request):
     instance, variant, kind = case.split("-")
     scn = request.getfixturevalue(instance)
     build = build_miqcp if kind == "miqcp" else build_milp
-    model = build(scn, **VARIANTS[variant])
+    model = build(scn, **VARIANTS.get(variant, {}))
+    if variant in STAGES:
+        part, pins = STAGES[variant]
+        model.set_objective(*model.objective_parts[part])
+        for k, value in pins:
+            terms = model.objective_parts[k][0]
+            model.add_con(f"objective_pin_o{k}", "objective_pin", terms, "=", value)
     emitters = {"lp": emit_lp, "mps": emit_mps} if kind == "milp" else {"lp": emit_lp}
     for fmt, emit in emitters.items():
         digest = hashlib.sha256(emit(model).encode()).hexdigest()

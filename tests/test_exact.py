@@ -152,14 +152,19 @@ class TestVariants:
         assert pruned["constraints"]["delay"] == 1 * 6 * 3
 
     def test_objective_parts_and_pins(self, tiny):
-        part1 = build_miqcp(tiny, objective_part=1)
-        assert part1.sense == "max" and part1.objective == ((1.0, "x1_r0"),)
-        part3 = build_miqcp(tiny, objective_part=3)
-        assert part3.sense == "min" and part3.objective == ((1.0, "x4"),)
-        staged = build_miqcp(tiny, objective_part=4, pinned_objectives=((1, 1.0), (2, 1.0)))
-        fams = {c.family for c in staged.constraints.values()}
-        assert "objective_pin" in fams
-        pins = [c for c in staged.constraints.values() if c.family == "objective_pin"]
+        m = build_miqcp(tiny)
+        parts = m.objective_parts
+        assert sorted(parts) == [1, 2, 3, 4]
+        assert parts[1] == ([(1.0, "x1_r0")], "max")
+        assert parts[3] == ([(1.0, "x4")], "min")
+        assert parts[2][1] == "max" and parts[4][1] == "min"
+        m.set_objective(*parts[1])
+        assert m.sense == "max" and m.objective == ((1.0, "x1_r0"),)
+        m.set_objective(*parts[3])
+        assert m.sense == "min" and m.objective == ((1.0, "x4"),)
+        for k in (1, 2):
+            m.add_con(f"objective_pin_o{k}", "objective_pin", parts[k][0], "=", 1.0)
+        pins = [c for c in m.constraints.values() if c.family == "objective_pin"]
         assert len(pins) == 2 and all(c.sense == "=" for c in pins)
 
     def test_default_objective_mixes_weighted_parts(self, tiny):

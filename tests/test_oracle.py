@@ -23,6 +23,7 @@ from nfvlight.oracle import (
     OracleScaleError,
     _Catalog,
     _Search,
+    _request_delays,
     as_assignment,
     solve_exhaustive,
     solve_sequential_baseline,
@@ -289,6 +290,30 @@ class TestServiceAllocation:
         assert rep.approximation_error == pytest.approx(0.0, abs=1e-6)
 
 
+    @pytest.mark.parametrize("count,fixed,lateness", [
+        (1, False, 0.71666666666666667), (1, True, 1.55), (2, False, 0.8), (2, True, 3.8),
+    ], ids=["one-joint", "one-fixed", "two-joint", "two-fixed"])
+    def test_function_free_chains(self, motivation, count, fixed, lateness):
+        # each chain s->f->d becomes s->d: the request is only routed
+        requests = tuple(
+            dataclasses.replace(
+                req,
+                graph=ForwardingGraph(nodes=("s", "d"), arcs=(("s", "d"),)),
+                initial_rates={("s", "d"): rate},
+            )
+            for req, rate in zip(motivation.requests[:count], (1.6, 2.0))
+        )
+        scn = dataclasses.replace(motivation, requests=requests)
+        scn.validate()
+        res = solve_exhaustive(scn, fixed)
+        assert res.certificate["certified"]
+        assert res.embedded == (True,) * count and res.service == {}
+        assert res.lateness == pytest.approx(lateness, rel=1e-12)
+        rep = validate(scn, build_miqcp(scn, fixed), as_assignment(res, scn, "miqcp"))
+        assert rep.ok
+        assert rep.max_exact_lateness == res.lateness
+
+
 class TestLimits:
     def test_abort_before_any_leaf(self, tiny):
         with pytest.raises(OracleScaleError, match="no feasible candidate was evaluated"):
@@ -526,6 +551,18 @@ def test_bound_stays_off_for_two_requests(monkeypatch, motivation, mode):
 # ---- the bound before placement is a lower bound on the bound after it ----
 
 
+def _prunable(search, mask, segs, chosen, loads) -> bool:
+    """The bound after placement, computed on its own as the reference.
+
+    The request's delay over the chosen routes, each hop at its current load.
+    """
+    if len(mask) != 1:
+        return False
+    (ri,) = mask
+    delays = [search._route_delay(hops, loads) for hops in chosen]
+    return search._late(ri, _request_delays(segs, delays)[ri])
+
+
 def _checked_pre_cuts(monkeypatch, solve):
     """``solve()`` with each route ``_Search._routes`` judged against ``_prunable``.
 
@@ -537,7 +574,9 @@ def _checked_pre_cuts(monkeypatch, solve):
     routes = _Search._routes
     seen = {"skipped": 0, "disjoint_kept": 0}
 
-    def spy(self, mask, segs, chosen, loads):
+    def spy(self, segs, chosen, loads, parts):
+        # the bound is on exactly when the mask holds one request
+        mask = () if parts is None else (parts[0],)
         seg = segs[len(chosen)]
         every = iter(self.catalog.routes(seg.va, seg.vb))
         chosen_hops = {h for hops in chosen for h in hops}
@@ -546,10 +585,10 @@ def _checked_pre_cuts(monkeypatch, solve):
             placed = dict(loads)
             for hop in route.hops:
                 placed[hop] = placed.get(hop, 0.0) + seg.rate
-            return self._prunable(mask, segs, [*chosen, route.hops], placed)
+            return _prunable(self, mask, segs, [*chosen, route.hops], placed)
 
         # no leaf is scored between a verdict and its check, so both see one incumbent
-        for kept in itertools.chain(routes(self, mask, segs, chosen, loads), [None]):
+        for kept in itertools.chain(routes(self, segs, chosen, loads, parts), [None]):
             for route in every:
                 if route is kept:
                     break

@@ -10,7 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nfvlight import (
+    ApproxConfig,
+    BigMConfig,
     ForwardingGraph,
+    ObjectiveWeights,
     QueueApprox,
     Request,
     Scenario,
@@ -261,6 +264,39 @@ class TestSerialization:
         path = tmp_path / "scn.json"
         save_scenario(tiny, path)
         assert load_scenario(str(path)) == tiny
+
+    def test_round_trip_with_every_optional_field(self, motivation):
+        req = motivation.requests[0]
+        graph = dataclasses.replace(
+            req.graph,
+            alpha_node={"f": 1.0},
+            beta_node={"f": 0.5},
+            alpha_arc={("f", "d"): {("s", "f"): 1.0}},
+            beta_arc={("f", "d"): 0.1},
+        )
+        scn = dataclasses.replace(
+            motivation,
+            requests=(dataclasses.replace(req, graph=graph), *motivation.requests[1:]),
+            weights=ObjectiveWeights(1.0, 50.0, 5.0, 2.0, 0.5, 0.25, 2.0),
+            approx=ApproxConfig(
+                error_target=0.02,
+                forwarding=QueueApprox(eps=0.5, upper=4.0, base_points=5),
+                processing=QueueApprox(eps=0.1, upper=9.0),
+                processing_by_vertex={"v3": QueueApprox(base_points=3)},
+                shift_mode="balanced",
+            ),
+            big_m=BigMConfig(lambda_min=1e-3, lateness_cap=50.0),
+        )
+        scn.validate()
+        text = dumps_scenario(scn)
+        data = json.loads(text)
+        # every optional branch of scenario_to_dict wrote its field
+        assert {"alpha_node", "beta_node", "alpha_arc", "beta_arc"} <= set(data["requests"][0])
+        assert set(data["approx"]) == {
+            "error_target", "shift_mode", "forwarding", "processing", "processing_by_vertex",
+        }
+        assert set(data["big_m"]) == {"lambda_min", "lateness_cap"}
+        assert loads_scenario(text) == scn
 
     def test_malformed_document_rejected(self):
         with pytest.raises(ScenarioError, match="arc key"):

@@ -22,7 +22,8 @@ digests mean equal results, bit for bit.  Sections:
   amount, ``max_exact_lateness``, ``model_objective`` and
   ``approximation_error``.
 
-The run takes about two minutes on one core.
+The run takes about 30 seconds on one core of a shared 2-vCPU host
+(Python 3.11).
 """
 from __future__ import annotations
 
