@@ -470,15 +470,15 @@ class _Search:
         """
         seg = segs[len(chosen)]
         rate, branch = seg.rate, seg.branch is not None
+        if parts is not None:
+            ri, chain, slowest = parts
         for route in self.catalog.routes(seg.va, seg.vb):
             d = self._route_delay(route.hops, loads, rate)
             if d == math.inf:
                 continue
-            if parts is not None:
-                ri, chain, slowest = parts
-                # the request's delay as _request_delays gives it with this route chosen
-                if self._late(ri, chain + max(slowest, d) if branch else chain + d):
-                    continue
+            # the request's delay as _request_delays gives it with this route chosen
+            if parts is not None and self._late(ri, chain + max(slowest, d) if branch else chain + d):
+                continue
             yield route
 
     def _dfs(self, mask, placements, segs, i, pair_used, trans, fiber_cnt, loads, chosen):
