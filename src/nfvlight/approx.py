@@ -263,7 +263,6 @@ def build_milp(
     prune_pinned_tuples: bool = False,
 ) -> Model:
     """Compile the wavelength-assignment-only piecewise-linear formulation."""
-    scn.validate()
     sub = scn.substrate
     V = sub.vertices
     gammas = range(sub.wavelengths)

@@ -127,35 +127,30 @@ def _run_adapter(model, template: str, timeout: float | None, fmt: str,
 def cmd_gen(args) -> int:
     if args.motivation:
         scn = motivation_scenario()
-        out = args.out
-        if out:
-            save_scenario(scn, out)
-        else:
-            sys.stdout.write(dumps_scenario(scn))
-        return 0
-    sub = builtin_topology(
-        args.topology,
-        edge_delay=args.edge_delay,
-        line_rate=args.line_rate,
-        wavelengths=args.wavelengths,
-    )
-    kw = dict(
-        small_capacity=args.small_capacity,
-        large_capacity=args.large_capacity,
-        rate=args.rate,
-        topology_name=args.topology,
-    )
-    if args.all_permutations:
-        outdir = Path(args.out_dir or ".")
-        outdir.mkdir(parents=True, exist_ok=True)
-        n = len(sub.vertices)
-        count = n * (n - 1) * (n - 2)
-        for i in range(count):
-            scn = permutation_scenario(sub, i, **kw)
-            save_scenario(scn, outdir / f"{scn.name}.json")
-        sys.stdout.write(json.dumps({"written": count, "dir": str(outdir)}) + "\n")
-        return 0
-    scn = permutation_scenario(sub, args.permutation, **kw)
+    else:
+        sub = builtin_topology(
+            args.topology,
+            edge_delay=args.edge_delay,
+            line_rate=args.line_rate,
+            wavelengths=args.wavelengths,
+        )
+        kw = dict(
+            small_capacity=args.small_capacity,
+            large_capacity=args.large_capacity,
+            rate=args.rate,
+            topology_name=args.topology,
+        )
+        if args.all_permutations:
+            outdir = Path(args.out_dir or ".")
+            outdir.mkdir(parents=True, exist_ok=True)
+            n = len(sub.vertices)
+            count = n * (n - 1) * (n - 2)
+            for i in range(count):
+                scn = permutation_scenario(sub, i, **kw)
+                save_scenario(scn, outdir / f"{scn.name}.json")
+            sys.stdout.write(json.dumps({"written": count, "dir": str(outdir)}) + "\n")
+            return 0
+        scn = permutation_scenario(sub, args.permutation, **kw)
     if args.out:
         save_scenario(scn, args.out)
     else:

@@ -34,7 +34,6 @@ class EmbeddingView:
     """Routes, loads and allocations reconstructed from variable values."""
 
     embedded: dict[int, bool] = field(default_factory=dict)
-    rates: dict[tuple, float] = field(default_factory=dict)
     routes: dict[tuple, tuple[tuple[str, str], ...]] = field(default_factory=dict)
     loads: dict[tuple[str, str], float] = field(default_factory=dict)
     psi: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -56,13 +55,13 @@ def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> 
         view.embedded[ri] = values.get(naming.x_name(2, ri), 0.0) > 0.5
         for a in g.arcs:
             for v, vp in itertools.product(V, repeat=2):
-                hops = {}
+                hops = []
                 for w, wp in itertools.product(V, repeat=2):
                     val = values.get(naming.lam_name(ri, a, v, vp, w, wp), 0.0)
                     if w != wp:
                         view.loads[(w, wp)] = view.loads.get((w, wp), 0.0) + val
                     if val > thresh:
-                        hops[(w, wp)] = val
+                        hops.append((w, wp))
                 if not hops:
                     continue
                 key = (ri, a, v, vp)
@@ -71,7 +70,6 @@ def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> 
                     if rest:
                         view.warnings.append(f"flow {key} mixes a stationary and a routed path")
                     view.routes[key] = ()
-                    view.rates[key] = hops[(v, v)]
                     continue
                 by_tail: dict[str, str] = {}
                 for (w, wp) in hops:
@@ -92,7 +90,6 @@ def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> 
                     view.warnings.append(f"flow {key} has a broken route")
                     continue
                 view.routes[key] = tuple(route)
-                view.rates[key] = hops[route[0]]
 
         for n in g.functional:
             for v in V:
@@ -242,9 +239,13 @@ def validate(
     """Re-check every model row at the assignment and re-time it with exact delays.
 
     A NaN or infinite value is a ``non_finite`` violation, so a solution that
-    cannot be checked is never reported ``ok``.
+    cannot be checked is never reported ``ok``.  The warnings of a parsed
+    ``Assignment`` come first in the report's, then those of the re-timing.
     """
-    raw = assignment.values if isinstance(assignment, Assignment) else dict(assignment)
+    if isinstance(assignment, Assignment):
+        raw, parse_warnings = assignment.values, assignment.warnings
+    else:
+        raw, parse_warnings = dict(assignment), []
     values = {name: raw.get(name, 0.0) for name in model.variables}
 
     violations: list[Violation] = []
@@ -295,5 +296,5 @@ def validate(
         approximation_error=worst_err,
         unstable=unstable,
         model_objective=objective_value(model, values),
-        warnings=list(view.warnings),
+        warnings=parse_warnings + view.warnings,
     )

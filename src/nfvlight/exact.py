@@ -451,7 +451,6 @@ def build_miqcp(
     prune_pinned_tuples: bool = False,
 ) -> Model:
     """Compile the exact formulation with full lightpath routing variables."""
-    scn.validate()
     sub = scn.substrate
     V = sub.vertices
     gammas = range(sub.wavelengths)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 from . import naming
 from .approx import ApproxError, eval_gtilde, interpolate_xi, resolve_partitions, shortest_paths
-from .scenario import Scenario
+from .scenario import Scenario, propagate_rate_bounds
 
 _STAB = 1e-9
 
@@ -82,7 +82,6 @@ class SegmentPlan:
 @dataclass(frozen=True)
 class _RequestPlan:
     ri: int
-    nodes: tuple[str, ...]
     arcs: tuple[tuple[str, str], ...]
     rates: dict[tuple[str, str], float]
     source_vertex: str
@@ -110,31 +109,26 @@ class OracleResult:
 
 
 def _chain_plans(scn: Scenario) -> list[_RequestPlan]:
+    """One plan per request, each a chain.
+
+    A valid scenario's forwarding graph is connected and acyclic, so a graph
+    in which no node has two in-arcs or two out-arcs is one path of at least
+    one arc, and its source arc has an initial rate.
+    """
     sub = scn.substrate
+    bounds = propagate_rate_bounds(scn)
     plans = []
     for ri, req in enumerate(scn.requests):
         g = req.graph
         for n in g.nodes:
             if len(g.in_arcs(n)) > 1 or len(g.out_arcs(n)) > 1:
                 raise OracleScaleError(f"request {ri}: forwarding graph is not a chain")
-        if len(g.sources) != 1 or len(g.destinations) != 1:
-            raise OracleScaleError(f"request {ri}: need one source and one destination")
         src = g.sources[0]
         nodes = [src]
         while g.out_arcs(nodes[-1]):
             nodes.append(g.out_arcs(nodes[-1])[0][1])
         arcs = tuple((nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1))
-        if not arcs:
-            raise OracleScaleError(f"request {ri}: forwarding graph has no arcs")
-
-        rates: dict[tuple[str, str], float] = {}
-        rate = req.initial_rates.get(arcs[0])
-        if rate is None:
-            raise OracleScaleError(f"request {ri}: missing initial rate for the source arc")
-        rates[arcs[0]] = rate
-        for k in range(1, len(arcs)):
-            rate = g.alpha(arcs[k], arcs[k - 1]) * rate + g.beta(arcs[k])
-            rates[arcs[k]] = rate
+        rates = {arc: bounds[(ri, arc)] for arc in arcs}
         if any(r <= 0 for r in rates.values()):
             raise OracleScaleError(f"request {ri}: a chain arc carries no traffic")
 
@@ -161,7 +155,6 @@ def _chain_plans(scn: Scenario) -> list[_RequestPlan]:
         plans.append(
             _RequestPlan(
                 ri=ri,
-                nodes=tuple(nodes),
                 arcs=arcs,
                 rates=rates,
                 source_vertex=src_pins[0][0],

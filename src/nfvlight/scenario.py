@@ -4,6 +4,12 @@ A scenario bundles one optical substrate with a set of embedding requests,
 objective weights and optional approximation / big-M configuration.  Loaded
 scenarios are immutable and safe to share between threads and worker
 processes.
+
+A ``Scenario`` checks itself when it is built, by ``Scenario(...)`` or by
+``dataclasses.replace``, and raises ``ScenarioError`` for a broken invariant;
+every consumer may take it as valid.  Its dict fields are not copied, so they
+must not be mutated afterwards.  ``validate()`` stays public: it repeats the
+check and returns the warnings.
 """
 from __future__ import annotations
 
@@ -407,6 +413,9 @@ class Scenario:
     big_m: BigMConfig = field(default_factory=BigMConfig)
     name: str = "scenario"
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> list[str]:
         self.substrate.validate()
         warnings = []
@@ -551,13 +560,11 @@ def permutation_scenario(
         source_restrictions=(("s", src_v, 1.0),),
         dest_restrictions=tuple(("d", v, 1.0 / len(dests)) for v in dests),
     )
-    scn = Scenario(
+    return Scenario(
         substrate=replace(substrate, capacity={small_v: small_capacity, large_v: large_capacity}),
         requests=(req,),
         name=f"{topology_name}-perm{index:03d}",
     )
-    scn.validate()
-    return scn
 
 
 def motivation_scenario(rate_a: float = 1.6, rate_b: float = 2.0) -> Scenario:
@@ -580,9 +587,7 @@ def motivation_scenario(rate_a: float = 1.6, rate_b: float = 2.0) -> Scenario:
         source_restrictions=(("s", "v2", 1.0),),
         dest_restrictions=(("d", "v6", 1.0),),
     )
-    scn = Scenario(substrate=net, requests=(req_a, req_b), name="motivation")
-    scn.validate()
-    return scn
+    return Scenario(substrate=net, requests=(req_a, req_b), name="motivation")
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +768,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             lambda_min=float(bm["lambda_min"]) if "lambda_min" in bm else None,
             lateness_cap=float(bm["lateness_cap"]) if "lateness_cap" in bm else None,
         )
-        scn = Scenario(
+        return Scenario(
             substrate=substrate,
             requests=tuple(requests),
             weights=weights,
@@ -775,8 +780,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"missing field {exc.args[0]!r}", invariant="schema") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario value: {exc}", invariant="schema") from exc
-    scn.validate()
-    return scn
 
 
 def loads_scenario(text: str) -> Scenario:

@@ -47,7 +47,7 @@ def test_unclean_runs_are_counted_and_left_out():
 
 
 HASHES = {"oracle": "4d54" + "0" * 60, "search": "d007" + "1" * 60,
-          "validation": "7e4b" + "a" * 60}
+          "validation": "7e4b" + "a" * 60, "models": "5f7c" + "b" * 60}
 
 
 def fingerprint_output(**counts):
@@ -55,10 +55,11 @@ def fingerprint_output(**counts):
 
 
 def test_fingerprint_sections_are_parsed():
-    out = benchpairs.parse_fingerprint(fingerprint_output(oracle=723, search=723), 0)
+    out = benchpairs.parse_fingerprint(fingerprint_output(oracle=723, search=723, models=3), 0)
     assert out == {"oracle": {"count": 723, "sha256": HASHES["oracle"]},
                    "search": {"count": 723, "sha256": HASHES["search"]},
-                   "validation": {"count": 80, "sha256": HASHES["validation"]}}
+                   "validation": {"count": 80, "sha256": HASHES["validation"]},
+                   "models": {"count": 3, "sha256": HASHES["models"]}}
 
 
 def test_failed_or_malformed_fingerprint_output_is_an_error():

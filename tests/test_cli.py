@@ -315,6 +315,26 @@ class TestValidate:
         assert doc["max_exact_lateness"] == pytest.approx(2.2546099290780144)
         assert json.loads(rep.read_text()) == doc
 
+    def test_parse_warnings_reach_the_report(self, workdir, tmp_path, capsys):
+        # the oracle's file lists only nonzero values; the rest default to 0
+        argv = ["validate", "--scenario", str(workdir / "p0.json"), "--formulation", "milp"]
+        assert main([*argv, "--solution", str(workdir / "p0.sol")]) == 0
+        sparse = json.loads(capsys.readouterr().out)
+        assert sparse["ok"] is True
+        assert sparse["warnings"] == ["20909 variables missing from solution, defaulted to 0"]
+
+        model = build_milp(load_scenario(workdir / "p0.json"))
+        listed = dict(
+            line.split() for line in (workdir / "p0.sol").read_text().splitlines()
+            if not line.startswith("#")
+        )
+        dense = tmp_path / "dense.sol"
+        dense.write_text("".join(f"{name} {listed.get(name, '0')}\n" for name in model.variables))
+        assert main([*argv, "--solution", str(dense)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["warnings"] == []
+        assert doc == sparse | {"warnings": []}
+
     def test_corrupt_solution_file(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.sol"
         bad.write_text("x3_r0 abc\n")

@@ -203,3 +203,36 @@ class TestValidate:
         assert rep.model_kind == "milp"
         assert rep.model_max_lateness >= rep.max_exact_lateness
         assert rep.per_request_error[0] == pytest.approx(rep.approximation_error)
+
+
+class TestDroppedFamilies:
+    """The warnings the re-timing gives when a whole variable family is missing."""
+
+    @pytest.fixture(scope="class", params=["tiny", "motivation"])
+    def case(self, request):
+        scn = request.getfixturevalue(request.param)
+        return scn, solve_exhaustive(scn)
+
+    @staticmethod
+    def report_without(case, kind, prefix):
+        scn, res = case
+        build = build_miqcp if kind == "miqcp" else build_milp
+        values = {
+            name: val for name, val in as_assignment(res, scn, kind).items()
+            if not name.startswith(prefix)
+        }
+        return validate(scn, build(scn), values)
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_routes_without_lightpaths(self, case, kind):
+        rep = self.report_without(case, kind, "l_")
+        assert not rep.ok
+        assert any(" rides a missing lightpath " in w for w in rep.warnings)
+        assert "lightpath_capacity" in {v.family for v in rep.violations}
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_embedded_without_flows(self, case, kind):
+        rep = self.report_without(case, kind, "lam_")
+        assert not rep.ok
+        assert "request 0 is embedded but has no active path" in rep.warnings
+        assert "initial_rate" in {v.family for v in rep.violations}

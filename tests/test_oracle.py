@@ -11,6 +11,7 @@ from nfvlight import (
     ForwardingGraph,
     Request,
     Scenario,
+    ScenarioError,
     SubstrateNetwork,
     builtin_topology,
     permutation_scenario,
@@ -57,8 +58,10 @@ class TestScaleGuards:
             source_restrictions=(("s", "v1", 1.0), ("s2", "v1", 1.0)),
             dest_restrictions=(("d", "v3", 1.0), ("d2", "v3", 1.0)),
         )
-        with pytest.raises(OracleScaleError, match="need one source and one destination"):
-            solve_exhaustive(dataclasses.replace(tiny, requests=(req,)))
+        # a disconnected graph is no valid scenario, so the oracle never sees it
+        with pytest.raises(ScenarioError, match="not connected") as err:
+            dataclasses.replace(tiny, requests=(req,))
+        assert err.value.invariant == "connected"
 
     def test_source_must_be_pinned(self, tiny):
         with pytest.raises(OracleScaleError, match="source must be pinned to one vertex"):

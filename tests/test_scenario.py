@@ -402,6 +402,33 @@ class TestNonFiniteInput:
             loads_scenario(json.dumps(data))
 
 
+def _with_substrate(scn, **kw):
+    return dataclasses.replace(scn, substrate=dataclasses.replace(scn.substrate, **kw))
+
+
+def _with_request(scn, **kw):
+    return dataclasses.replace(scn, requests=(dataclasses.replace(scn.requests[0], **kw),))
+
+
+class TestCheckedOnConstruction:
+    """A ``Scenario`` validates itself, also when made by ``dataclasses.replace``."""
+
+    @pytest.mark.parametrize("variant,invariant", [
+        (lambda s: _with_substrate(s, delay=dict.fromkeys(s.substrate.edges, math.nan)),
+         "edge_delay"),
+        (lambda s: _with_substrate(s, capacity=dict.fromkeys(s.substrate.capacity, -5.0)),
+         "capacity"),
+        (lambda s: _with_request(s, d_max=math.inf), "d_max"),
+        (lambda s: _with_request(s, initial_rates={("s", "f"): math.nan}), "initial_rate"),
+        (lambda s: dataclasses.replace(s, weights=ObjectiveWeights(lateness=math.nan)),
+         "weights"),
+    ], ids=["nan-delays", "negative-capacity", "infinite-d_max", "nan-rate", "nan-weight"])
+    def test_replace_rejects_an_invalid_perm0(self, perm0, variant, invariant):
+        with pytest.raises(ScenarioError) as err:
+            variant(perm0)
+        assert err.value.invariant == invariant
+
+
 class TestApproxAndBigMSettings:
     """Settings the builders would otherwise reject late, or silently ignore."""
 

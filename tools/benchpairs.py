@@ -7,9 +7,9 @@ alternating which side goes first (odd pairs parent first).  Both sides of a
 pair get the same seed: ``SEED + 100 * workload index + pair index``.
 ``PAIRS`` untraced pairs give the end-to-end metrics; ``TRACED_PAIRS`` more
 pairs with ``--trace 1`` give the per-layer times and counts.  Before the
-pairs, ``tools/fingerprint.py`` runs once in each exported tree, with
-``PYTHONPATH`` set to that tree's ``src``; its items go to
-``fingerprint-items.txt`` there.
+pairs, this tree's ``tools/fingerprint.py`` runs once against each exported
+tree, with ``PYTHONPATH`` set to that tree's ``src``, so both sides are read
+by one script; its items go to ``fingerprint-items.txt`` there.
 
     python3 tools/benchpairs.py --parent HEAD~1 --change HEAD --pr 14 \\
         --workdir ../scratch/bench
@@ -18,8 +18,8 @@ The result goes to ``BENCH_<pr>.json`` at the root of this repository and is
 rewritten after every pair, so an interrupted session keeps what it ran.
 It names both commits and the git tree ids of their ``src/`` and benchmark
 directories.  Under ``fingerprint`` it holds each side's section lines
-(``oracle``, ``search``, ``validation``: item count and sha256) and whether
-the two item files are byte-identical.  Per workload and metric it holds
+(``oracle``, ``search``, ``validation``, ``models``: item count and sha256)
+and whether the two item files are byte-identical.  Per workload and metric it holds
 each side's runs, median and quartiles, the pairs the change won (ties
 count for neither side) and the relative change of the median, signed so
 that positive is better.  A run that errored, came back incorrect or had
@@ -45,7 +45,7 @@ SIDES = ("parent", "change")
 SEED = 3001
 PAIRS = 10  # the fewest that can show a 9-of-10 win
 TRACED_PAIRS = 2
-FINGERPRINT_SECTIONS = ("oracle", "search", "validation")
+FINGERPRINT_SECTIONS = ("oracle", "search", "validation", "models")
 
 
 def parse_args(argv):
@@ -78,10 +78,11 @@ def trees(commit: str, paths: list[str]) -> dict:
 
 
 def fingerprint(checkout: Path) -> dict:
-    """``tools/fingerprint.py`` run in ``checkout``: its sections, or the reason it gave none."""
+    """This tree's ``tools/fingerprint.py`` run on ``checkout``'s package: its sections,
+    or the reason it gave none."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with (checkout / "fingerprint-items.txt").open("w") as items:
-        proc = subprocess.run([sys.executable, str(checkout / "tools" / "fingerprint.py")],
+        proc = subprocess.run([sys.executable, str(REPO / "tools" / "fingerprint.py")],
                               stdout=subprocess.PIPE, stderr=items, text=True, cwd=checkout,
                               env=env)
     return parse_fingerprint(proc.stdout, proc.returncode)

@@ -1,4 +1,4 @@
-"""Bit-level fingerprint of the oracle and of validation, for before/after checks.
+"""Bit-level fingerprint of the oracle, validation and emitted models, for before/after checks.
 
 Run it once against each tree to compare, with the package taken from
 ``PYTHONPATH`` (it imports ``nfvlight`` and nothing else outside the stdlib):
@@ -21,9 +21,13 @@ digests mean equal results, bit for bit.  Sections:
   values and, from ``validate``, ``ok``, every violation's name, family and
   amount, ``max_exact_lateness``, ``model_objective`` and
   ``approximation_error``.
+* ``models``: the sha256 of each model file the ``solve-replay`` benchmark
+  workload emits and checks against ``perfbench/expected.json``, path6
+  permutation 0 with default options: ``perm0-milp-lp``, ``perm0-milp-mps``
+  and ``perm0-miqcp-lp``.
 
 The run takes about 30 seconds on one core of a shared 2-vCPU host
-(Python 3.11).
+(Python 3.11), about 1 second of it for ``models``.
 """
 from __future__ import annotations
 
@@ -37,6 +41,8 @@ from nfvlight import (
     build_milp,
     build_miqcp,
     builtin_topology,
+    emit_lp,
+    emit_mps,
     motivation_scenario,
     permutation_scenario,
     solve_exhaustive,
@@ -107,10 +113,21 @@ def validation_section():
                 )
 
 
+def models_section():
+    scn = permutation_scenario(builtin_topology("path6"), 0, topology_name="path6")
+    for case, build, emit in (
+        ("perm0-milp-lp", build_milp, emit_lp),
+        ("perm0-milp-mps", build_milp, emit_mps),
+        ("perm0-miqcp-lp", build_miqcp, emit_lp),
+    ):
+        yield line(case, hashlib.sha256(emit(build(scn)).encode()).hexdigest())
+
+
 def main() -> int:
     oracle, search = oracle_sections()
     for section, items in (
         ("oracle", oracle), ("search", search), ("validation", validation_section()),
+        ("models", models_section()),
     ):
         h = hashlib.sha256()
         n = 0
