@@ -19,10 +19,10 @@ rewritten after every pair, so an interrupted session keeps what it ran.
 It names both commits and the git tree ids of their ``src/`` and benchmark
 directories.  Under ``fingerprint`` it holds each side's section lines
 (``oracle``, ``search``, ``validation``, ``models``: item count and sha256)
-and whether the two item files are byte-identical.  Per workload and metric it holds
-each side's runs, median and quartiles, the pairs the change won (ties
-count for neither side) and the relative change of the median, signed so
-that positive is better.  A run that errored, came back incorrect or had
+and whether the two item files are byte-identical.  Per workload and metric
+it holds each side's runs, median and quartiles, the pairs the change won
+(ties count for neither side) and the relative change of the median, signed
+so that positive is better.  A run that errored, came back incorrect or had
 failed operations is counted per side and kept out of the medians and the
 pairs; the tool then exits 1, as it does when a fingerprint run fails.
 Only the standard library is used; nothing under ``perfbench/`` is written
