@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import naming
-from .exact import add_flow_part, apply_objective, delay_rows, load_terms
+from .exact import add_flow_part, apply_objective, compiled_copy, delay_rows, load_terms
 from .optmodel import Model
 from .scenario import Scenario, SubstrateNetwork, propagate_rate_bounds
 
@@ -263,6 +263,10 @@ def build_milp(
     prune_pinned_tuples: bool = False,
 ) -> Model:
     """Compile the wavelength-assignment-only piecewise-linear formulation."""
+    return compiled_copy(scn, fixed_topology, prune_pinned_tuples, _compile_milp)
+
+
+def _compile_milp(scn: Scenario, prune_pinned_tuples: bool) -> tuple[Model, dict[str, float]]:
     sub = scn.substrate
     V = sub.vertices
     gammas = range(sub.wavelengths)
@@ -426,11 +430,6 @@ def build_milp(
     for name, ri, terms in delay_rows(scn, ctx, hop_terms, inner_terms):
         m.add_con(name, "delay", [(-1.0, ctx.x3[ri]), *terms], "<=", scn.requests[ri].d_max)
 
-    if fixed_topology:
-        # the fixed topology lights every fiber as a one-hop lightpath on wavelength 0
-        for (w, wp, g), name in l_tab.items():
-            m.fix_var(name, 1.0 if (w, wp) in sub.edges and g == 0 else 0.0)
-
     path_terms = [
         (table.dist[(w, wp)], l_tab[(w, wp, g)])
         for (w, wp) in pairs_ne
@@ -438,4 +437,8 @@ def build_milp(
         if table.dist[(w, wp)]
     ]
     apply_objective(m, scn, ctx, path_terms)
-    return m
+    # the fixed topology lights every fiber as a one-hop lightpath on wavelength 0
+    return m, {
+        name: 1.0 if (w, wp) in sub.edges and g == 0 else 0.0
+        for (w, wp, g), name in l_tab.items()
+    }

@@ -66,6 +66,15 @@ def _check_limit(flag: str, value) -> None:
         raise ScenarioError(f"{flag} must be a finite number >= 0, got {value!r}", invariant="limit")
 
 
+def _load_scenario(path: str):
+    """Load a scenario; print its warnings on stderr as one JSON line, if any."""
+    scn = load_scenario(path)
+    warnings = scn.validate()
+    if warnings:
+        sys.stderr.write(json.dumps({"warnings": warnings}) + "\n")
+    return scn
+
+
 def _build_model(scn, formulation: str, fixed: bool, prune: bool = False):
     if formulation not in ("miqcp", "milp"):
         raise ModelError(f"unknown formulation {formulation!r}")
@@ -159,7 +168,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
-    scn = load_scenario(args.scenario)
+    scn = _load_scenario(args.scenario)
     model = _build_model(scn, args.formulation, args.fixed_topology, args.prune_pinned_tuples)
     if args.out:
         _write_model(args.out, emit_model(model, args.format))
@@ -170,7 +179,7 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_limit("--timeout", args.timeout)
-    scn = load_scenario(args.scenario)
+    scn = _load_scenario(args.scenario)
     template = args.adapter or os.environ.get("NFVLIGHT_SOLVER")
     if not template:
         return _fail("no_adapter", "pass --adapter or set NFVLIGHT_SOLVER")
@@ -217,7 +226,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scn = load_scenario(args.scenario)
+    scn = _load_scenario(args.scenario)
     model = _build_model(scn, args.formulation, args.fixed_topology)
     assignment = parse_solution(Path(args.solution).read_text(), model)
     report = validate(scn, model, assignment)
@@ -230,7 +239,7 @@ def cmd_validate(args) -> int:
 def cmd_oracle(args) -> int:
     _check_limit("--max-seconds", args.max_seconds)
     _check_limit("--max-leaves", args.max_leaves)
-    scn = load_scenario(args.scenario)
+    scn = _load_scenario(args.scenario)
     limits = OracleLimits(max_seconds=args.max_seconds, max_leaves=args.max_leaves)
     if args.mode == "sequential":
         result = solve_sequential_baseline(scn, limits=limits)

@@ -6,10 +6,17 @@ and which fiber route plus wavelength realizes each lightpath.  Queue delays
 enter through bilinear rows that define the forwarding and processing sojourn
 times exactly, so a feasible solution's lateness variables dominate the true
 M/M/1 delays.
+
+Each builder compiles a scenario once per formulation and
+``prune_pinned_tuples`` value, and returns a ``Model.copy`` of that compiled
+model on every call.  A fixed-topology model is such a copy with its
+lightpath variables fixed.  The compiled model stays valid because a
+``Scenario`` is immutable after construction.
 """
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 from . import naming
@@ -432,16 +439,56 @@ def apply_objective(
         + [(W.proc_cost * c, n) for c, n in proc_terms]
     )
     m.objective_parts = {
-        1: ([(1.0, x) for x in ctx.x1], "max"),
-        2: ([(1.0, x) for x in ctx.x2], "max"),
-        3: ([(1.0, ctx.x4)], "min"),
-        4: (resources, "min"),
+        1: (tuple((1.0, x) for x in ctx.x1), "max"),
+        2: (tuple((1.0, x) for x in ctx.x2), "max"),
+        3: (((1.0, ctx.x4),), "min"),
+        4: (tuple(resources), "min"),
     }
     terms = [(W.lateness, ctx.x4)]
     terms += [(-W.fulfilled, x) for x in ctx.x1]
     terms += [(-W.embedded, x) for x in ctx.x2]
     terms += [(W.resources * c, n) for c, n in resources]
     m.set_objective(terms, "min")
+
+
+# The one compiled model: (weak reference to its scenario, the compile
+# function, prune_pinned_tuples, model, {l name: fixed-topology value}).  The tuple is
+# swapped whole and read once per call, so a race between threads can cost a
+# second build but never hands out another scenario's model.
+_compiled: tuple | None = None
+
+
+def _drop_compiled(ref: weakref.ref) -> None:
+    """Forget the compiled model once its scenario is collected."""
+    global _compiled
+    entry = _compiled
+    if entry is not None and entry[0] is ref:
+        _compiled = None
+
+
+def compiled_copy(scn: Scenario, fixed_topology: bool, prune_pinned_tuples: bool,
+                  compile_model) -> Model:
+    """A copy of ``compile_model(scn, prune_pinned_tuples)``'s model, compiled once.
+
+    ``compile_model`` returns the joint model and the value of every
+    lightpath variable under the fixed topology; a fixed-topology copy gets
+    them as fixed bounds.  The model is kept for the next call with the same
+    scenario object, ``compile_model`` and ``prune_pinned_tuples``.
+    """
+    global _compiled
+    entry = _compiled
+    if (entry is None or entry[0]() is not scn or entry[1] is not compile_model
+            or entry[2] != prune_pinned_tuples):
+        entry = _compiled = None  # the old model goes before the new one is built
+        model, fixings = compile_model(scn, prune_pinned_tuples)
+        entry = _compiled = (
+            weakref.ref(scn, _drop_compiled), compile_model, prune_pinned_tuples, model, fixings
+        )
+    model = entry[3].copy()
+    if fixed_topology:
+        for name, value in entry[4].items():
+            model.fix_var(name, value)
+    return model
 
 
 def build_miqcp(
@@ -451,6 +498,10 @@ def build_miqcp(
     prune_pinned_tuples: bool = False,
 ) -> Model:
     """Compile the exact formulation with full lightpath routing variables."""
+    return compiled_copy(scn, fixed_topology, prune_pinned_tuples, _compile_miqcp)
+
+
+def _compile_miqcp(scn: Scenario, prune_pinned_tuples: bool) -> tuple[Model, dict[str, float]]:
     sub = scn.substrate
     V = sub.vertices
     gammas = range(sub.wavelengths)
@@ -646,13 +697,12 @@ def build_miqcp(
     for name, ri, terms in delay_rows(scn, ctx, hop_terms, inner_terms):
         m.add_con(name, "delay", [(-1.0, ctx.x3[ri])], "<=", scn.requests[ri].d_max, quad=terms)
 
-    if fixed_topology:
-        # the fixed topology lights every fiber as a one-hop lightpath on wavelength 0
-        for (w, wp, e, g), name in l_tab.items():
-            m.fix_var(name, 1.0 if e == (w, wp) and g == 0 else 0.0)
-
     path_terms = []
     for (w, wp) in pairs_ne:
         path_terms.extend(psi_terms[(w, wp)])
     apply_objective(m, scn, ctx, path_terms)
-    return m
+    # the fixed topology lights every fiber as a one-hop lightpath on wavelength 0
+    return m, {
+        name: 1.0 if e == (w, wp) and g == 0 else 0.0
+        for (w, wp, e, g), name in l_tab.items()
+    }

@@ -15,9 +15,12 @@ Products keep the order the builder gave them; they are expanded, merged
 and sorted only when a canonical view is asked for, which LP emission does
 once per row.
 A builder may also record the parts of a weighted objective in
-``Model.objective_parts``, each part's terms with the sense it is optimized
-in on its own.  A staged solve sets one part after another as the objective
-of the same model and pins each solved part with an equality row.
+``Model.objective_parts``, each part's terms, a tuple, with the sense it is
+optimized in on its own.  A staged solve sets one part after another as the
+objective of the same model and pins each solved part with an equality row.
+``Model.copy`` gives a model its own tables over the same records, term
+tuples and objective parts, which are immutable; changing the copy leaves
+the original as it was.
 """
 from __future__ import annotations
 
@@ -184,9 +187,25 @@ class Model:
         self.objective: tuple[tuple[float, str], ...] = ()
         self.sense = "min"
         # part -> (terms, sense), for a staged solve to set one at a time
-        self.objective_parts: dict[int, tuple[list[tuple[float, str]], str]] = {}
+        self.objective_parts: dict[int, tuple[tuple[tuple[float, str], ...], str]] = {}
         # id -> checked product terms tuple, held so that the id stays unique
         self._checked_terms: dict[int, tuple] = {}
+
+    def copy(self) -> Model:
+        """A model with the same content in new tables, cheap to change alone.
+
+        The tables are new dicts over the same immutable records and term
+        tuples, so ``add_*``, ``fix_var`` and ``set_objective`` on either
+        model leave the other as it was.
+        """
+        other = Model(self.kind, self.name)
+        other.variables = dict(self.variables)
+        other.constraints = dict(self.constraints)
+        other.sos2 = dict(self.sos2)
+        other.objective, other.sense = self.objective, self.sense
+        other.objective_parts = dict(self.objective_parts)
+        other._checked_terms = dict(self._checked_terms)
+        return other
 
     # -- construction -------------------------------------------------------
 

@@ -8,8 +8,10 @@ processes.
 A ``Scenario`` checks itself when it is built, by ``Scenario(...)`` or by
 ``dataclasses.replace``, and raises ``ScenarioError`` for a broken invariant;
 every consumer may take it as valid.  Its dict fields are not copied, so they
-must not be mutated afterwards.  ``validate()`` stays public: it repeats the
-check and returns the warnings.
+must not be mutated afterwards: the model builders keep the model compiled
+from a scenario object for their next call on it, and rely on this rule for
+that model to stay valid.  ``validate()`` stays public: it repeats the check
+and returns the warnings.
 """
 from __future__ import annotations
 

@@ -8,10 +8,10 @@ import sys
 
 import pytest
 
-from nfvlight import build_milp
+from nfvlight import approx, build_milp
 from nfvlight.cli import _WRITE_SLICE, _write_model, main
 from nfvlight.optmodel import Model, emit_model
-from nfvlight.scenario import load_scenario
+from nfvlight.scenario import load_scenario, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +206,25 @@ class TestSolve:
         ]) == 0
         assert len(json.loads(capsys.readouterr().out)["stages"]) == 4
         assert len(calls) == 2
+
+    def test_staged_compiles_one_model(self, workdir, capsys, monkeypatch):
+        # the stages' pins and objectives stay on their copy: the validated
+        # model reads the same objective as an unstaged solve
+        argv = ["solve", "--scenario", str(workdir / "p0.json"), "--formulation", "milp",
+                "--adapter", adapter_for(workdir)]
+        assert main(argv) == 0
+        unstaged = json.loads(capsys.readouterr().out)
+        real, calls = approx._compile_milp, []
+
+        def spy(scn, prune):
+            calls.append(scn)
+            return real(scn, prune)
+
+        monkeypatch.setattr(approx, "_compile_milp", spy)
+        assert main(argv + ["--staged"]) == 0
+        staged = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert staged["ok"] and staged["model_objective"] == unstaged["model_objective"]
 
     def test_missing_adapter(self, workdir, capsys, monkeypatch):
         monkeypatch.delenv("NFVLIGHT_SOLVER", raising=False)
@@ -417,6 +436,47 @@ class TestOracle:
     def test_bad_limit(self, workdir, capsys, argv, message):
         assert main(["oracle", "--scenario", str(workdir / "p0.json"), *argv]) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ScenarioError", "message": message}
+
+
+class TestScenarioWarnings:
+    """A scenario's warnings go to stderr as one JSON line, and only when there are any."""
+
+    @pytest.fixture(scope="class")
+    def partial(self, workdir):
+        # perm0 with one of its three destination shares
+        data = scenario_to_dict(load_scenario(workdir / "p0.json"))
+        del data["requests"][0]["dest_restrictions"][1:]
+        path = workdir / "partial.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--formulation", "milp"],
+        ["solve", "--formulation", "milp"],
+        ["validate", "--formulation", "milp", "--solution", "p0.sol"],
+        ["oracle", "--formulation", "milp"],
+    ], ids=lambda argv: argv[0])
+    def test_partial_shares_warn_on_stderr(self, workdir, partial, capsys, argv):
+        argv = [str(workdir / a) if a == "p0.sol" else a for a in argv]
+        if argv[0] == "solve":
+            argv += ["--adapter", adapter_for(workdir)]
+        assert main(argv + ["--scenario", str(workdir / "p0.json")]) == 0
+        full = capsys.readouterr()
+        assert full.err == ""
+        # the oracle refuses unpinned shares, after the warning
+        refused = argv[0] == "oracle"
+        assert main(argv + ["--scenario", str(partial)]) == int(refused)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 + refused
+        assert json.loads(lines[0]) == {
+            "warnings": ["dest proportions for node d sum to 0.333333, not 1"],
+        }
+        if refused:
+            assert json.loads(lines[1])["error"] == "OracleScaleError"
+            assert captured.out == ""
+        else:
+            assert json.loads(captured.out).keys() == json.loads(full.out).keys()
 
 
 class TestExperiment:

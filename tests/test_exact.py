@@ -1,11 +1,15 @@
 """Exact MIQCP compilation: variable layout, constraint rows, big-M policy."""
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import gc
+import sys
+import weakref
 
 import pytest
 
-from nfvlight import build_miqcp
+from nfvlight import approx, build_milp, build_miqcp, emit_lp, exact
 from nfvlight.exact import compute_bigM
 from nfvlight.optmodel import model_stats
 
@@ -155,8 +159,8 @@ class TestVariants:
         m = build_miqcp(tiny)
         parts = m.objective_parts
         assert sorted(parts) == [1, 2, 3, 4]
-        assert parts[1] == ([(1.0, "x1_r0")], "max")
-        assert parts[3] == ([(1.0, "x4")], "min")
+        assert parts[1] == (((1.0, "x1_r0"),), "max")
+        assert parts[3] == (((1.0, "x4"),), "min")
         assert parts[2][1] == "max" and parts[4][1] == "min"
         m.set_objective(*parts[1])
         assert m.sense == "max" and m.objective == ((1.0, "x1_r0"),)
@@ -174,3 +178,119 @@ class TestVariants:
         assert coefs["x2_r0"] == -100.0
         assert coefs["x4"] == 10.0
         assert "x1_r0" not in coefs  # zero-weighted part is dropped
+
+
+BUILDERS = {"miqcp": build_miqcp, "milp": build_milp}
+# a lightpath variable the fixed topology lights, per formulation
+LIT = {"miqcp": "l_v1_v2_e{v1,v2}_g0", "milp": "l_v1_v2_g0"}
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Record each private compile of either formulation as ``(kind, scn, prune)``."""
+    calls = []
+    for kind, module in (("miqcp", exact), ("milp", approx)):
+        real = getattr(module, f"_compile_{kind}")
+
+        def spy(scn, prune, real=real, kind=kind):
+            calls.append((kind, scn, prune))
+            return real(scn, prune)
+
+        monkeypatch.setattr(module, f"_compile_{kind}", spy)
+    return calls
+
+
+class TestCompiledOnce:
+    """A scenario object is compiled once per formulation and pruning flag;
+    every build returns a copy, fixed-topology copies with their lightpaths
+    fixed.  ``dataclasses.replace`` makes a new scenario object, so a miss."""
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_joint_then_fixed_compiles_once(self, tiny, compiles, kind):
+        scn = dataclasses.replace(tiny)
+        build = BUILDERS[kind]
+        joint, fixed = build(scn), build(scn, True)
+        assert compiles == [(kind, scn, False)]
+        assert joint.variables[LIT[kind]][3:] == (0.0, 1.0)
+        assert fixed.variables[LIT[kind]][3:] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_fixed_first_and_fixed_after_joint_emit_the_same_bytes(self, tiny, kind):
+        build = BUILDERS[kind]
+        first = emit_lp(build(dataclasses.replace(tiny), True))
+        scn = dataclasses.replace(tiny)
+        build(scn)
+        assert emit_lp(build(scn, True)) == first
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_changing_a_copy_leaves_the_next_build_alone(self, tiny, kind, fixed):
+        scn = dataclasses.replace(tiny)
+        build = BUILDERS[kind]
+        m = build(scn, fixed)
+        m.add_con("objective_pin_o3", "objective_pin", [(1.0, "x4")], "=", 0.5)
+        m.set_objective(*m.objective_parts[1])
+        m.fix_var(LIT[kind], 0.0 if fixed else 1.0)
+        m.fix_var("x4", 0.5)
+        m.objective_parts.clear()
+        again = build(scn, fixed)
+        assert sorted(again.objective_parts) == [1, 2, 3, 4]
+        assert emit_lp(again) == emit_lp(build(dataclasses.replace(scn), fixed))
+
+    def test_another_formulation_pruning_or_scenario_is_a_miss(self, tiny, compiles):
+        scn = dataclasses.replace(tiny)
+        build_miqcp(scn)
+        build_milp(scn, True)
+        build_miqcp(scn, prune_pinned_tuples=True)
+        build_miqcp(scn, True, prune_pinned_tuples=True)
+        build_miqcp(scn)
+        other = dataclasses.replace(scn)
+        build_miqcp(other)
+        assert compiles == [
+            ("miqcp", scn, False), ("milp", scn, False), ("miqcp", scn, True),
+            ("miqcp", scn, False), ("miqcp", other, False),
+        ]
+
+    def test_a_collected_scenario_leaves_no_model(self, tiny):
+        scn = dataclasses.replace(tiny)
+        build_milp(scn)
+        assert exact._compiled is not None
+        del scn
+        gc.collect()
+        assert exact._compiled is None
+
+    def test_a_miss_frees_the_old_model_before_it_builds(self, tiny, monkeypatch):
+        kept = dataclasses.replace(tiny)
+        build_miqcp(kept)
+        old = weakref.ref(exact._compiled[3])
+        real, alive = exact._compile_miqcp, []
+
+        def spy(scn, prune):
+            alive.append(old() is not None)
+            return real(scn, prune)
+
+        monkeypatch.setattr(exact, "_compile_miqcp", spy)
+        build_miqcp(dataclasses.replace(tiny))
+        assert alive == [False]
+
+    def test_threads_get_their_own_scenarios_model(self, tiny):
+        # more threads than cores, switching often, each on its own scenario:
+        # a model handed to the wrong thread carries another scenario's name
+        scenarios = [dataclasses.replace(tiny, name=f"tiny{k}") for k in range(4)]
+
+        def work(scn):
+            for i in range(12):
+                fixed = bool(i % 2)
+                m = build_miqcp(scn, fixed)
+                assert m.name == f"{scn.name}-miqcp"
+                assert m.variables[LIT["miqcp"]].lb == float(fixed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=len(scenarios)) as pool:
+                futures = [pool.submit(work, scn) for scn in scenarios]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
