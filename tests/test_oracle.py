@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfvlight import (
     ForwardingGraph,
@@ -25,6 +29,7 @@ from nfvlight.oracle import (
     _Catalog,
     _Search,
     _request_delays,
+    _route_table,
     as_assignment,
     solve_exhaustive,
     solve_sequential_baseline,
@@ -710,3 +715,156 @@ def test_joint_search_enumerates_only_the_pairs_it_routes(perm):
     read = set(search.catalog.enumerated)
     assert read <= routable
     assert 0 < len(read) < 30
+
+
+def test_route_lists_are_shared_per_topology_and_mode():
+    sub = builtin_topology("barbell6")
+    catalogs = {}
+    for perm in (0, 17):
+        scn = permutation_scenario(sub, perm, topology_name="barbell6")
+        for fixed in (False, True):
+            search = _Search(scn, fixed, None, None)
+            search.run()
+            catalogs[(perm, fixed)] = search.catalog
+    for fixed in (False, True):
+        first, second = catalogs[(0, fixed)], catalogs[(17, fixed)]
+        assert first.enumerated
+        for (a, b), routes in first.enumerated.items():
+            assert second.routes(a, b) is routes
+    joint, fixed = catalogs[(0, False)], catalogs[(0, True)]
+    for (a, b), routes in joint.enumerated.items():
+        assert fixed.routes(a, b) is not routes
+    assert _route_table.cache_info().currsize <= 2
+    for topology in ("path6", "cycle6", "barbell6"):
+        sub = builtin_topology(topology)
+        scn = permutation_scenario(sub, 0, topology_name=topology)
+        for joint in (True, False):
+            _Catalog(scn, shortest_paths(sub), joint).routes(*sub.vertices[:2])
+            assert _route_table.cache_info().currsize <= 2
+
+
+# ---- the floor cut: a route's zero-load delay is never above its loaded one ----
+
+
+@functools.lru_cache(maxsize=1)
+def _barbell_search() -> _Search:
+    scn = permutation_scenario(builtin_topology("barbell6"), 0, topology_name="barbell6")
+    return _Search(scn, False, None, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.sampled_from(list(itertools.permutations(range(6), 2))),
+    pick=st.integers(min_value=0),
+    rate=st.floats(min_value=0.0, max_value=5.0),
+    loads=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=5, max_size=5),
+)
+# the line rate is 4: rates at and just below the largest load allowed, and above it
+@example(pair=(0, 5), pick=64, rate=4.0 - 1e-9, loads=[0.0] * 5)
+@example(pair=(0, 5), pick=64, rate=math.nextafter(4.0 - 1e-9, 0.0), loads=[1e-9] * 5)
+@example(pair=(2, 3), pick=0, rate=4.5, loads=[0.0] * 5)
+def test_floor_is_never_above_the_loaded_delay(pair, pick, rate, loads):
+    search = _barbell_search()
+    assert search.mu_bar == 4.0
+    verts = search.sub.vertices
+    routes = search.catalog.routes(verts[pair[0]], verts[pair[1]])
+    hops = routes[pick % len(routes)].hops
+    floor = search._route_delay(hops, {}, rate)
+    loaded = search._route_delay(hops, dict(zip(hops, loads)), rate)
+    assert floor <= loaded
+    if rate >= search.max_load:
+        assert floor == math.inf
+
+
+# ---- search work on the random chains, pinned before the floor cut ----
+
+
+# (leaves, placement_rounds, colorings_cached) of the cases of
+# test_bound_keeps_random_chain_results: d_max 0, 1, the optimum's delay and
+# 1e-6 below it, joint then fixed at each
+_RANDOM_CHAIN_WORK = {
+    0: ((2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (3, 2, 3), (2, 2, 0), (2, 2, 2), (2, 2, 0)),
+    1: ((2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0)),
+    2: ((2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0)),
+    3: ((2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0)),
+    4: ((2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0)),
+    5: ((2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (3, 2, 3), (2, 2, 0), (2, 2, 2), (2, 2, 0)),
+    6: ((2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0)),
+    7: ((2, 2, 2), (2, 2, 0), (2, 2, 2), (2, 2, 0), (3, 2, 3), (2, 2, 0), (2, 2, 2), (2, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_chain_search_work_is_pinned(seed):
+    base = random_chain_scenario(random.Random(seed), f"bnb{seed}")
+    delay = solve_exhaustive(swap_request(base, d_max=0.0)).lateness
+    work = []
+    for d_max in (0.0, 1.0, delay, delay - 1e-6):
+        scn = swap_request(base, d_max=d_max)
+        for fixed in (False, True):
+            cert = solve_exhaustive(scn, fixed).certificate
+            work.append((cert["leaves"], cert["placement_rounds"], cert["colorings_cached"]))
+    assert tuple(work) == _RANDOM_CHAIN_WORK[seed]
+
+
+# ---- the floor cut gives way when a subtree changes the incumbent's class ----
+
+
+def _late_against(search, best, ri, delay) -> bool:
+    """``search._late`` with ``best`` as the incumbent."""
+    saved, search.best_lex = search.best_lex, best
+    try:
+        return search._late(ri, delay)
+    finally:
+        search.best_lex = saved
+
+
+def _yields_past_a_class_change(monkeypatch, solve) -> int:
+    """``solve()`` under ``_checked_pre_cuts``; the routes yielded past a class change.
+
+    Counts the routes a ``_Search._routes`` call yields after a subtree changed
+    the incumbent's ``best_lex[:2]`` whose zero-load floor fails the bound of
+    the incumbent at the call's start: the routes its floor cut had skipped.
+    """
+    routes = _Search._routes
+    count = 0
+
+    def spy(self, segs, chosen, loads, parts):
+        nonlocal count
+        start = self.best_lex
+        seg = segs[len(chosen)]
+        changed = False
+        for route in routes(self, segs, chosen, loads, parts):
+            if changed:
+                ri, chain, slowest = parts
+                f = self._route_delay(route.hops, {}, seg.rate)
+                delay = chain + max(slowest, f) if seg.branch is not None else chain + f
+                count += _late_against(self, start, ri, delay)
+            yield route
+            changed = changed or (start is not None and self.best_lex[:2] != start[:2])
+
+    with monkeypatch.context() as m:
+        m.setattr(_Search, "_routes", spy)
+        _checked_pre_cuts(m, solve)
+    return count
+
+
+@pytest.mark.parametrize(
+    "topology,perm,fixed", [("path6", 0, False), ("cycle6", 0, False), ("cycle6", 0, True)],
+)
+def test_floor_cut_gives_way_when_the_incumbent_fulfils(monkeypatch, topology, perm, fixed):
+    scn = permutation_scenario(builtin_topology(topology), perm, topology_name=topology)
+    # the generated budget is 0, so lateness is delay: a budget between the
+    # first leaf's and the optimum's makes the first incumbent late and a
+    # later one fulfil the request
+    first = solve_exhaustive(scn, fixed, limits=OracleLimits(max_leaves=1)).lateness
+    best = solve_exhaustive(scn, fixed).lateness
+    assert best < first
+    scn = swap_request(scn, d_max=(first + best) / 2)
+
+    def solve():
+        return solve_exhaustive(scn, fixed)
+
+    assert _yields_past_a_class_change(monkeypatch, solve) > 0
+    pruned, _full = _with_and_without_bound(monkeypatch, solve)
+    assert pruned.fulfilled == (True,)
