@@ -263,7 +263,8 @@ def build_milp(
     prune_pinned_tuples: bool = False,
 ) -> Model:
     """Compile the wavelength-assignment-only piecewise-linear formulation."""
-    return compiled_copy(scn, fixed_topology, prune_pinned_tuples, _compile_milp)
+    # resolve_partitions reads the capacities
+    return compiled_copy(scn, fixed_topology, prune_pinned_tuples, _compile_milp, True)
 
 
 def _compile_milp(scn: Scenario, prune_pinned_tuples: bool) -> tuple[Model, dict[str, float]]:
@@ -274,7 +275,7 @@ def _compile_milp(scn: Scenario, prune_pinned_tuples: bool) -> tuple[Model, dict
     table = shortest_paths(sub)
     parts = resolve_partitions(scn)
 
-    m = Model("milp", name=f"{scn.name}-milp")
+    m = Model("milp")
     ctx = add_flow_part(m, scn, prune_pinned_tuples=prune_pinned_tuples)
 
     pairs_ne = [(w, wp) for w in V for wp in V if w != wp]

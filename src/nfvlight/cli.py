@@ -392,6 +392,8 @@ def cmd_experiment(args) -> int:
     formulations = (
         _parse_names(args.formulations, ("miqcp", "milp"), "formulation") if adapter else []
     )
+    # one formulation at a time over the permutations, so that a process's
+    # builds of one formulation follow each other and reuse its compiled model
     payloads = [
         {
             "topology": args.topology,
@@ -401,11 +403,12 @@ def cmd_experiment(args) -> int:
             "perm_kw": dict(small_capacity=args.small_capacity,
                             large_capacity=args.large_capacity, rate=args.rate),
             "modes": modes,
-            "formulations": formulations,
+            "formulations": group,
             "adapter": adapter,
             "format": args.format,
             "max_seconds": args.max_seconds,
         }
+        for group in ([[f] for f in formulations] or [[]])
         for p in perms
     ]
     rows: list[dict] = []

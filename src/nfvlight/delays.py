@@ -20,6 +20,8 @@ from .scenario import Scenario
 
 UNSTABLE = math.inf
 _TOL = 1e-6
+# embedding tuples re-timed per request path; beyond this, validation is not ok
+MAX_TUPLES = 10000
 
 
 @dataclass
@@ -42,6 +44,7 @@ class EmbeddingView:
     service: dict[tuple[int, str, str], float] = field(default_factory=dict)
     placements: set[tuple[int, str, str]] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
+    truncated: bool = False  # some tuples went unchecked
 
 
 def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> EmbeddingView:
@@ -175,11 +178,12 @@ def request_lateness(view: EmbeddingView, scn: Scenario) -> dict[int, float]:
                     tuples = [
                         t + [vp] for t in tuples for (v, vp) in sorted(actives[a]) if v == t[-1]
                     ]
-                    if len(tuples) > 10000:
+                    if len(tuples) > MAX_TUPLES:
                         view.warnings.append(
                             f"request {ri}: embedding tuple enumeration truncated"
                         )
-                        tuples = tuples[:10000]
+                        view.truncated = True
+                        tuples = tuples[:MAX_TUPLES]
                 for t in tuples:
                     d = exact_path_delay(view, scn, ri, path, tuple(t))
                     if d is None:
@@ -238,9 +242,11 @@ def validate(
 ) -> ValidationReport:
     """Re-check every model row at the assignment and re-time it with exact delays.
 
-    A NaN or infinite value is a ``non_finite`` violation, so a solution that
-    cannot be checked is never reported ``ok``.  The warnings of a parsed
-    ``Assignment`` come first in the report's, then those of the re-timing.
+    A NaN or infinite value is a ``non_finite`` violation, and a re-timing
+    that stopped at ``MAX_TUPLES`` embedding tuples leaves the report not
+    ``ok``, so a solution that was not checked whole is never reported
+    ``ok``.  The warnings of a parsed ``Assignment`` come first in the
+    report's, then those of the re-timing.
     """
     if isinstance(assignment, Assignment):
         raw, parse_warnings = assignment.values, assignment.warnings
@@ -285,7 +291,7 @@ def validate(
         worst_err = err if worst_err is None else max(worst_err, err)
 
     return ValidationReport(
-        ok=not violations,
+        ok=not violations and not view.truncated,
         model_kind=model.kind,
         violations=violations,
         exact_lateness=exact,

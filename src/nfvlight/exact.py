@@ -7,16 +7,20 @@ enter through bilinear rows that define the forwarding and processing sojourn
 times exactly, so a feasible solution's lateness variables dominate the true
 M/M/1 delays.
 
-Each builder compiles a scenario once per formulation and
-``prune_pinned_tuples`` value, and returns a ``Model.copy`` of that compiled
-model on every call.  A fixed-topology model is such a copy with its
-lightpath variables fixed.  The compiled model stays valid because a
-``Scenario`` is immutable after construction.
+Each builder keeps one compiled model, keyed by the values of the scenario
+fields its rows read (``_compile_key``).  The rows that read a scenario's
+restrictions and capacities are left out of it (``add_scenario_rows``), so
+all capacity permutations of one topology share one compiled MIQCP; the
+MILP's queue partitions read the capacities, so its key holds them.  Every
+call, a hit or a miss, returns a ``Model.copy`` of the compiled model with
+the scenario's own rows added and the scenario's name; a fixed-topology
+model is such a copy with its lightpath variables fixed.  The process holds
+one compiled model: a miss drops it before compiling the next.  The kept
+model stays valid because a ``Scenario`` is immutable after construction.
 """
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 
 from . import naming
@@ -95,9 +99,9 @@ def add_flow_part(m: Model, scn: Scenario, *, prune_pinned_tuples: bool = False)
     Both formulations share this part: fulfillment switches, routed-flow
     variables indexed by data endpoints and lightpath hop, placement switches
     with service rates, flow conservation, and all structural zero rows.
+    The rows that read restrictions and capacities are in ``add_scenario_rows``.
     """
-    sub = scn.substrate
-    V = sub.vertices
+    V = scn.substrate.vertices
     bigm = compute_bigM(scn)
 
     allowed: dict[tuple[int, str], tuple[str, ...]] = {}
@@ -229,38 +233,6 @@ def add_flow_part(m: Model, scn: Scenario, *, prune_pinned_tuples: bool = False)
                 0.0,
             )
 
-        # traffic leaving a source splits over vertices by configured share
-        for (n, v, prop) in req.source_restrictions:
-            terms: list[tuple[float, str]] = []
-            for a in g.out_arcs(n):
-                for v2, vp, wp in itertools.product(V, repeat=3):
-                    terms.append((prop, ctx.lam[(ri, a, v2, vp, v2, wp)]))
-                for vp, wp in itertools.product(V, repeat=2):
-                    terms.append((-1.0, ctx.lam[(ri, a, v, vp, v, wp)]))
-            m.add_con(
-                f"source_split_r{ri}_{naming.node_token(n)}_{v}",
-                "source_split",
-                terms,
-                "=",
-                0.0,
-            )
-
-        # traffic reaching a destination splits over vertices by share
-        for (n, v, prop) in req.dest_restrictions:
-            terms = []
-            for a in g.in_arcs(n):
-                for v2, vp, w in itertools.product(V, repeat=3):
-                    terms.append((prop, ctx.lam[(ri, a, v2, vp, w, vp)]))
-                for v2, w in itertools.product(V, repeat=2):
-                    terms.append((-1.0, ctx.lam[(ri, a, v2, v, w, v)]))
-            m.add_con(
-                f"dest_split_r{ri}_{naming.node_token(n)}_{v}",
-                "dest_split",
-                terms,
-                "=",
-                0.0,
-            )
-
         # each function scales arriving traffic into departing traffic
         for n in g.functional:
             for a_out in g.out_arcs(n):
@@ -348,20 +320,64 @@ def add_flow_part(m: Model, scn: Scenario, *, prune_pinned_tuples: bool = False)
                         0.0,
                     )
 
+    return ctx
+
+
+def add_scenario_rows(m: Model, scn: Scenario) -> None:
+    """Add the rows that read a scenario's restrictions and capacities.
+
+    These are the rows that differ between the capacity permutations of one
+    topology, so ``compiled_copy`` adds them to each copy of a compiled model.
+    """
+    V = scn.substrate.vertices
+    lam = naming.lam_name
+    for ri, req in enumerate(scn.requests):
+        g = req.graph
+
+        # traffic leaving a source splits over vertices by configured share
+        for (n, v, prop) in req.source_restrictions:
+            terms: list[tuple[float, str]] = []
+            for a in g.out_arcs(n):
+                for v2, vp, wp in itertools.product(V, repeat=3):
+                    terms.append((prop, lam(ri, a, v2, vp, v2, wp)))
+                for vp, wp in itertools.product(V, repeat=2):
+                    terms.append((-1.0, lam(ri, a, v, vp, v, wp)))
+            m.add_con(
+                f"source_split_r{ri}_{naming.node_token(n)}_{v}",
+                "source_split",
+                terms,
+                "=",
+                0.0,
+            )
+
+        # traffic reaching a destination splits over vertices by share
+        for (n, v, prop) in req.dest_restrictions:
+            terms = []
+            for a in g.in_arcs(n):
+                for v2, vp, w in itertools.product(V, repeat=3):
+                    terms.append((prop, lam(ri, a, v2, vp, w, vp)))
+                for v2, w in itertools.product(V, repeat=2):
+                    terms.append((-1.0, lam(ri, a, v2, v, w, v)))
+            m.add_con(
+                f"dest_split_r{ri}_{naming.node_token(n)}_{v}",
+                "dest_split",
+                terms,
+                "=",
+                0.0,
+            )
+
     # placed functions share each vertex's processing capacity
     for v in V:
         terms = []
         for ri, req in enumerate(scn.requests):
             g = req.graph
             for n in g.functional:
-                terms.append((g.node_alpha(n), ctx.mu[(ri, n, v)]))
+                terms.append((g.node_alpha(n), naming.mu_name(ri, n, v)))
                 beta = g.node_beta(n)
                 if beta:
-                    terms.append((beta, ctx.y[(ri, n, v)]))
+                    terms.append((beta, naming.y_name(ri, n, v)))
         if terms:
-            m.add_con(f"vertex_capacity_{v}", "vertex_capacity", terms, "<=", sub.cap(v))
-
-    return ctx
+            m.add_con(f"vertex_capacity_{v}", "vertex_capacity", terms, "<=", scn.substrate.cap(v))
 
 
 def load_terms(
@@ -451,43 +467,60 @@ def apply_objective(
     m.set_objective(terms, "min")
 
 
-# The one compiled model: (weak reference to its scenario, the compile
-# function, prune_pinned_tuples, model, {l name: fixed-topology value}).  The tuple is
-# swapped whole and read once per call, so a race between threads can cost a
-# second build but never hands out another scenario's model.
+# The one compiled model: (key, model, {l name: its fixed-topology record}).  The
+# tuple is swapped whole and read once per call, so a race between threads can
+# cost a second build but never hands out a model compiled for another key.
 _compiled: tuple | None = None
 
 
-def _drop_compiled(ref: weakref.ref) -> None:
-    """Forget the compiled model once its scenario is collected."""
-    global _compiled
-    entry = _compiled
-    if entry is not None and entry[0] is ref:
-        _compiled = None
+def _compile_key(scn: Scenario, compile_model, prune_pinned_tuples: bool,
+                 reads_capacity: bool) -> tuple:
+    """Every field of ``scn`` that ``compile_model``'s rows read, compared by equality.
+
+    The restrictions join the key only when pruning reads them, and the
+    capacities only for a compile that ``reads_capacity``.  A zero ``d_max``
+    or lateness cap is keyed by its text, since ``-0.0 == 0.0`` yet LP files
+    print the sign of a zero right-hand side or bound.
+    """
+    sub = scn.substrate
+    return (
+        compile_model, prune_pinned_tuples,
+        sub.vertices, sub.edges, sub.delay, sub.wavelengths, sub.line_rate,
+        sub.capacity if reads_capacity else None,
+        tuple(
+            (req.graph, req.initial_rates, repr(req.d_max),
+             (req.source_restrictions, req.dest_restrictions) if prune_pinned_tuples else None)
+            for req in scn.requests
+        ),
+        scn.weights, scn.approx, scn.big_m, repr(scn.big_m.lateness_cap),
+    )
 
 
 def compiled_copy(scn: Scenario, fixed_topology: bool, prune_pinned_tuples: bool,
-                  compile_model) -> Model:
-    """A copy of ``compile_model(scn, prune_pinned_tuples)``'s model, compiled once.
+                  compile_model, reads_capacity: bool) -> Model:
+    """``compile_model(scn, prune_pinned_tuples)``'s model with ``scn``'s own rows.
 
-    ``compile_model`` returns the joint model and the value of every
-    lightpath variable under the fixed topology; a fixed-topology copy gets
-    them as fixed bounds.  The model is kept for the next call with the same
-    scenario object, ``compile_model`` and ``prune_pinned_tuples``.
+    ``compile_model`` returns the model without ``add_scenario_rows``' rows
+    and the value of every lightpath variable under the fixed topology.  The
+    compiled model is kept for the next call whose ``_compile_key`` is equal.
+    Every call, hit or miss, copies it, adds the scenario rows, names the
+    copy after ``scn`` and, for a fixed-topology copy, fixes the lightpaths.
     """
     global _compiled
+    key = _compile_key(scn, compile_model, prune_pinned_tuples, reads_capacity)
     entry = _compiled
-    if (entry is None or entry[0]() is not scn or entry[1] is not compile_model
-            or entry[2] != prune_pinned_tuples):
+    if entry is None or entry[0] != key:
         entry = _compiled = None  # the old model goes before the new one is built
-        model, fixings = compile_model(scn, prune_pinned_tuples)
-        entry = _compiled = (
-            weakref.ref(scn, _drop_compiled), compile_model, prune_pinned_tuples, model, fixings
-        )
-    model = entry[3].copy()
+        compiled, fixings = compile_model(scn, prune_pinned_tuples)
+        lit = compiled.copy()
+        for name, value in fixings.items():
+            lit.fix_var(name, value)
+        entry = _compiled = (key, compiled, {name: lit.variables[name] for name in fixings})
+    model = entry[1].copy()
+    add_scenario_rows(model, scn)
+    model.name = f"{scn.name}-{model.kind}"
     if fixed_topology:
-        for name, value in entry[4].items():
-            model.fix_var(name, value)
+        model.variables.update(entry[2])
     return model
 
 
@@ -498,7 +531,7 @@ def build_miqcp(
     prune_pinned_tuples: bool = False,
 ) -> Model:
     """Compile the exact formulation with full lightpath routing variables."""
-    return compiled_copy(scn, fixed_topology, prune_pinned_tuples, _compile_miqcp)
+    return compiled_copy(scn, fixed_topology, prune_pinned_tuples, _compile_miqcp, False)
 
 
 def _compile_miqcp(scn: Scenario, prune_pinned_tuples: bool) -> tuple[Model, dict[str, float]]:
@@ -507,7 +540,7 @@ def _compile_miqcp(scn: Scenario, prune_pinned_tuples: bool) -> tuple[Model, dic
     gammas = range(sub.wavelengths)
     mu_bar = sub.line_rate
 
-    m = Model("miqcp", name=f"{scn.name}-miqcp")
+    m = Model("miqcp")
     ctx = add_flow_part(m, scn, prune_pinned_tuples=prune_pinned_tuples)
 
     pairs_ne = [(w, wp) for w in V for wp in V if w != wp]

@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from nfvlight import approx, build_milp
+from nfvlight import approx, build_milp, exact
 from nfvlight.cli import _WRITE_SLICE, _write_model, main
-from nfvlight.optmodel import Model, emit_model
+from nfvlight.optmodel import Assignment, Model, emit_model
 from nfvlight.scenario import load_scenario, scenario_to_dict
 
 
@@ -214,6 +214,7 @@ class TestSolve:
                 "--adapter", adapter_for(workdir)]
         assert main(argv) == 0
         unstaged = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(exact, "_compiled", None)  # the unstaged run left its model
         real, calls = approx._compile_milp, []
 
         def spy(scn, prune):
@@ -511,6 +512,32 @@ class TestExperiment:
         [row] = csv.DictReader(out.open())
         assert list(row)[-2:] == ["wall_s", "leaves"]
         assert (row["status"], row["leaves"]) == ("optimal", "")
+
+    def test_adapter_sweep_compiles_each_formulation_once(self, tmp_path, capsys, monkeypatch):
+        # cells run one formulation at a time, and permutations 0 and 1 share
+        # their capacities, so each formulation's first cell compiles for all
+        monkeypatch.setattr(exact, "_compiled", None)
+        monkeypatch.setattr("nfvlight.cli._run_adapter", lambda *args: Assignment({}))
+        calls = []
+        for module, kind in ((exact, "miqcp"), (approx, "milp")):
+            real = getattr(module, f"_compile_{kind}")
+
+            def spy(scn, prune, real=real, kind=kind):
+                calls.append((kind, scn.name))
+                return real(scn, prune)
+
+            monkeypatch.setattr(module, f"_compile_{kind}", spy)
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "experiment", "--permutations", "0,1", "--modes", "joint",
+            "--adapter", "unused {model} {solution}", "--workers", "1", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert calls == [("miqcp", "path6-perm000"), ("milp", "path6-perm000")]
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["perm"], r["formulation"]) for r in rows] == [
+            ("0", "milp"), ("0", "miqcp"), ("1", "milp"), ("1", "miqcp"),
+        ]
 
     def test_aborted_oracle_search_is_not_counted_as_solved(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("NFVLIGHT_SOLVER", raising=False)

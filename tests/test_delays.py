@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from nfvlight import build_milp, build_miqcp, naming, validate
+from nfvlight import build_milp, build_miqcp, delays, naming, validate
 from nfvlight.delays import (
     EmbeddingView,
     build_embedding_view,
@@ -195,6 +195,16 @@ class TestValidate:
         # nothing embedded, so the exact side reports a clean zero
         assert rep.exact_lateness == {0: 0.0}
         assert rep.per_request_error == {0: None}
+
+    def test_truncated_retiming_is_not_ok(self, perm0, perm0_joint, monkeypatch):
+        # perm0's chain fans out to three destinations: three embedding tuples
+        values = as_assignment(perm0_joint, perm0, "miqcp")
+        assert validate(perm0, build_miqcp(perm0), values).ok
+        monkeypatch.setattr(delays, "MAX_TUPLES", 2)
+        rep = validate(perm0, build_miqcp(perm0), values)
+        assert not rep.ok and not rep.violations
+        assert "request 0: embedding tuple enumeration truncated" in rep.warnings
+        assert json.loads(rep.to_json())["ok"] is False
 
     def test_milp_report_carries_model_and_exact_lateness(self, perm0, perm0_joint):
         m = build_milp(perm0)

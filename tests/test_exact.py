@@ -3,15 +3,17 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import gc
+import random
 import sys
 import weakref
 
 import pytest
 
-from nfvlight import approx, build_milp, build_miqcp, emit_lp, exact
+from conftest import random_chain_scenario
+from nfvlight import approx, build_milp, build_miqcp, emit_lp, exact, permutation_scenario
 from nfvlight.exact import compute_bigM
 from nfvlight.optmodel import model_stats
+from nfvlight.scenario import QueueApprox
 
 
 def lin_dict(con):
@@ -181,13 +183,23 @@ class TestVariants:
 
 
 BUILDERS = {"miqcp": build_miqcp, "milp": build_milp}
+
+
+def with_d_max(scn, d_max):
+    return dataclasses.replace(scn, requests=(dataclasses.replace(scn.requests[0], d_max=d_max),))
+
 # a lightpath variable the fixed topology lights, per formulation
 LIT = {"miqcp": "l_v1_v2_e{v1,v2}_g0", "milp": "l_v1_v2_g0"}
 
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Record each private compile of either formulation as ``(kind, scn, prune)``."""
+    """Record each private compile of either formulation as ``(kind, scn, prune)``.
+
+    The kept model is dropped first, so that one left by an earlier test
+    cannot hide a compile.
+    """
+    monkeypatch.setattr(exact, "_compiled", None)
     calls = []
     for kind, module in (("miqcp", exact), ("milp", approx)):
         real = getattr(module, f"_compile_{kind}")
@@ -201,9 +213,9 @@ def compiles(monkeypatch):
 
 
 class TestCompiledOnce:
-    """A scenario object is compiled once per formulation and pruning flag;
-    every build returns a copy, fixed-topology copies with their lightpaths
-    fixed.  ``dataclasses.replace`` makes a new scenario object, so a miss."""
+    """A scenario is compiled once per formulation and pruning flag, and an
+    equal one is not compiled again; every build returns a copy with the
+    scenario's own rows, fixed-topology copies with their lightpaths fixed."""
 
     @pytest.mark.parametrize("kind", ["miqcp", "milp"])
     def test_joint_then_fixed_compiles_once(self, tiny, compiles, kind):
@@ -244,25 +256,27 @@ class TestCompiledOnce:
         build_miqcp(scn, prune_pinned_tuples=True)
         build_miqcp(scn, True, prune_pinned_tuples=True)
         build_miqcp(scn)
-        other = dataclasses.replace(scn)
+        build_miqcp(dataclasses.replace(scn))  # an equal scenario is a hit
+        other = with_d_max(scn, 2.0)
         build_miqcp(other)
         assert compiles == [
             ("miqcp", scn, False), ("milp", scn, False), ("miqcp", scn, True),
             ("miqcp", scn, False), ("miqcp", other, False),
         ]
 
-    def test_a_collected_scenario_leaves_no_model(self, tiny):
-        scn = dataclasses.replace(tiny)
-        build_milp(scn)
-        assert exact._compiled is not None
-        del scn
-        gc.collect()
-        assert exact._compiled is None
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_the_kept_model_holds_no_scenario_rows(self, tiny, compiles, kind):
+        model = BUILDERS[kind](tiny, True)
+        kept = exact._compiled[1]
+        own = {"source_split", "dest_split", "vertex_capacity"}
+        assert {c.family for c in kept.constraints.values()}.isdisjoint(own)
+        assert {c.family for c in model.constraints.values()} >= own
+        assert kept.name == "model" and model.name == f"tiny-{kind}"
+        assert kept.variables[LIT[kind]][3:] == (0.0, 1.0)
 
     def test_a_miss_frees_the_old_model_before_it_builds(self, tiny, monkeypatch):
-        kept = dataclasses.replace(tiny)
-        build_miqcp(kept)
-        old = weakref.ref(exact._compiled[3])
+        build_miqcp(tiny)
+        old = weakref.ref(exact._compiled[1])
         real, alive = exact._compile_miqcp, []
 
         def spy(scn, prune):
@@ -270,7 +284,7 @@ class TestCompiledOnce:
             return real(scn, prune)
 
         monkeypatch.setattr(exact, "_compile_miqcp", spy)
-        build_miqcp(dataclasses.replace(tiny))
+        build_miqcp(with_d_max(tiny, 2.0))
         assert alive == [False]
 
     def test_threads_get_their_own_scenarios_model(self, tiny):
@@ -294,3 +308,156 @@ class TestCompiledOnce:
                     future.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
+
+
+def fresh(build, scn, fixed=False, prune=False):
+    """``build``'s model for ``scn``, from a compile of ``scn`` itself."""
+    exact._compiled = None
+    return build(scn, fixed, prune_pinned_tuples=prune)
+
+
+def same(a, b, tables=("variables", "constraints", "sos2")):
+    """Assert that models ``a`` and ``b`` hold the same, tables in the same order."""
+    for table in tables:
+        x, y = getattr(a, table), getattr(b, table)
+        assert x == y and list(x) == list(y), (a.name, table)
+    assert (a.name, a.kind, a.objective, a.sense, a.objective_parts) == (
+        b.name, b.kind, b.objective, b.sense, b.objective_parts
+    )
+
+
+def keyed_changes(scn):
+    """Copies of ``scn`` that each change one field the compiled rows read."""
+    sub, req = scn.substrate, scn.requests[0]
+    fiber = sub.edges[0]
+    longer = sub.delay[fiber] + 0.05
+    arc, rate = next(iter(req.initial_rates.items()))
+
+    def on_sub(**kw):
+        return dataclasses.replace(scn, substrate=dataclasses.replace(sub, **kw))
+
+    def on_req(**kw):
+        return dataclasses.replace(scn, requests=(dataclasses.replace(req, **kw),))
+
+    changes = {
+        "edge_delay": on_sub(delay={**sub.delay, fiber: longer, fiber[::-1]: longer}),
+        "wavelengths": on_sub(wavelengths=sub.wavelengths + 1),
+        "line_rate": on_sub(line_rate=sub.line_rate * 1.5),
+        "initial_rate": on_req(initial_rates={**req.initial_rates, arc: rate * 0.9}),
+        "d_max": on_req(d_max=req.d_max + 0.5),
+        "weight": dataclasses.replace(scn, weights=dataclasses.replace(scn.weights, lateness=2.0)),
+        "forwarding_eps": dataclasses.replace(
+            scn, approx=dataclasses.replace(scn.approx, forwarding=QueueApprox(eps=0.5))
+        ),
+        "lambda_min": dataclasses.replace(
+            scn, big_m=dataclasses.replace(scn.big_m, lambda_min=0.01)
+        ),
+    }
+    if req.d_max == 0.0:
+        # -0.0 == 0.0, but the delay rows' right-hand side prints as "-0"
+        changes["d_max_sign"] = on_req(d_max=-0.0)
+    return changes
+
+
+def unkeyed_changes(scn):
+    """Copies of ``scn`` that change a field only the scenario rows read."""
+    sub, req = scn.substrate, scn.requests[0]
+    (node, v, share), *rest = req.source_restrictions
+    moved = next(u for u in sub.vertices if u != v)
+    return {
+        "capacity": dataclasses.replace(scn, substrate=dataclasses.replace(
+            sub, capacity={u: c + 1.0 for u, c in sub.capacity.items()}
+        )),
+        "restrictions": dataclasses.replace(scn, requests=(dataclasses.replace(
+            req, source_restrictions=((node, moved, share), *rest)
+        ),)),
+        "name": dataclasses.replace(scn, name=f"{scn.name}-renamed"),
+    }
+
+
+KEY_CASES = ["path6-perm0", "chain0", "chain1", "chain2"]
+
+
+def key_case(path6, case):
+    if case.startswith("chain"):
+        return random_chain_scenario(random.Random(int(case[5:])), case)
+    return permutation_scenario(path6, 0, topology_name="path6")
+
+
+class TestCompileKey:
+    """The kept model is reused exactly when the compiled rows would come out
+    the same: a change to a keyed field misses, any other change hits and
+    gives what a fresh compile gives."""
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    @pytest.mark.parametrize("case", KEY_CASES)
+    def test_a_keyed_change_misses(self, path6, compiles, kind, case):
+        base = key_case(path6, case)
+        build = BUILDERS[kind]
+        build(base)
+        kept = exact._compiled
+        other = BUILDERS["milp" if kind == "miqcp" else "miqcp"]
+        misses = [(what, build, scn, False) for what, scn in keyed_changes(base).items()]
+        misses += [("formulation", other, base, False), ("pruning", build, base, True)]
+        for what, build_it, scn, prune in misses:
+            exact._compiled = kept
+            n = len(compiles)
+            build_it(scn, prune_pinned_tuples=prune)
+            assert len(compiles) == n + 1, what
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    @pytest.mark.parametrize("case", KEY_CASES)
+    def test_an_unkeyed_change_hits_and_equals_a_fresh_compile(
+        self, path6, compiles, kind, case, prune
+    ):
+        base = key_case(path6, case)
+        build = BUILDERS[kind]
+        build(base, prune_pinned_tuples=prune)
+        kept = exact._compiled
+        # the MILP's partitions read the capacities, pruning reads the restrictions
+        keyed = {"capacity"} if kind == "milp" else set()
+        if prune:
+            keyed.add("restrictions")
+        for what, scn in unkeyed_changes(base).items():
+            exact._compiled = kept
+            n = len(compiles)
+            joint = build(scn, prune_pinned_tuples=prune)
+            fixed = build(scn, True, prune_pinned_tuples=prune)
+            assert len(compiles) == n + (what in keyed), what
+            same(joint, fresh(build, scn, prune=prune))
+            same(fixed, build(scn, True, prune_pinned_tuples=prune))
+
+
+# (formulation, prune_pinned_tuples, path6 permutations, expected hits).
+# Permutations 0 and 1, and 57 and 58, share their capacities, so they hit
+# the MILP's kept model; 0 and 20, and 57 and 109, swap the two capacities
+# and keep the restrictions, so they hit the pruned MIQCP's; a repeated
+# permutation, under another name, hits the pruned MILP's.
+SWEEPS = [
+    ("miqcp", False, range(120), 119),
+    ("milp", False, (0, 1, 57, 58), 2),
+    ("miqcp", True, (0, 20, 57, 109), 2),
+    ("milp", True, (0, 0), 1),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, prune, perms, hits", SWEEPS)
+def test_every_hit_equals_a_fresh_compile(path6, compiles, kind, prune, perms, hits):
+    build = BUILDERS[kind]
+    seen = 0
+    for i, perm in enumerate(perms):
+        scn = permutation_scenario(path6, perm, topology_name=f"path6-{i}")
+        n = len(compiles)
+        joint = build(scn, prune_pinned_tuples=prune)
+        fixed = build(scn, True, prune_pinned_tuples=prune)
+        seen += len(compiles) == n
+        ref = fresh(build, scn, prune=prune)
+        ref_fixed = build(scn, True, prune_pinned_tuples=prune)
+        same(joint, ref)
+        # a fixed model holds its joint model's row records, so its rows
+        # compare cheaply with those, and equal the reference's by the line above
+        assert fixed.constraints == joint.constraints and ref_fixed.constraints == ref.constraints
+        same(fixed, ref_fixed, ("variables", "sos2"))
+    assert seen == hits

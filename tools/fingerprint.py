@@ -26,7 +26,7 @@ digests mean equal results, bit for bit.  Sections:
   permutation 0 with default options: ``perm0-milp-lp``, ``perm0-milp-mps``
   and ``perm0-miqcp-lp``.
 
-The run takes about 16 seconds on one core of a shared 2-vCPU host
+The run takes about 10 seconds on one core of a shared 2-vCPU host
 (Python 3.11), about 1 second of it for ``models``.
 """
 from __future__ import annotations
@@ -98,29 +98,32 @@ def oracle_sections():
 def validation_section():
     """One line per permutation, mode and formulation, in that order.
 
-    A scenario's lines are computed one formulation at a time, both modes
-    each, so the builders compile each formulation once and its fixed model
-    is a copy of the joint one.
+    The lines are computed one formulation at a time over all permutations,
+    so that consecutive builds hit the compile cache: the MIQCP compiles
+    once, and the MILP once per capacity assignment (5 of the 20).
     """
     sub = builtin_topology("path6")
     modes = ("joint", "fixed")
-    for perm in range(20):
-        scn = permutation_scenario(sub, perm, topology_name="path6")
-        results = {mode: solve_exhaustive(scn, mode == "fixed") for mode in modes}
-        lines = {}
-        for kind, build in (("miqcp", build_miqcp), ("milp", build_milp)):
+    scenarios = [permutation_scenario(sub, perm, topology_name="path6") for perm in range(20)]
+    results = [
+        {mode: solve_exhaustive(scn, mode == "fixed") for mode in modes} for scn in scenarios
+    ]
+    lines = {}
+    for kind, build in (("miqcp", build_miqcp), ("milp", build_milp)):
+        for scn, res in zip(scenarios, results):
             for mode in modes:
-                values = as_assignment(results[mode], scn, kind)
+                values = as_assignment(res[mode], scn, kind)
                 digest = hashlib.sha256(line(sorted(values.items())).encode()).hexdigest()
                 rep = validate(scn, build(scn, mode == "fixed"), values)
-                lines[(mode, kind)] = line(
+                lines[(scn.name, mode, kind)] = line(
                     scn.name, mode, kind, digest, rep.ok,
                     [(v.name, v.family, v.amount) for v in rep.violations],
                     rep.max_exact_lateness, rep.model_objective, rep.approximation_error,
                 )
+    for scn in scenarios:
         for mode in modes:
-            yield lines[(mode, "miqcp")]
-            yield lines[(mode, "milp")]
+            yield lines[(scn.name, mode, "miqcp")]
+            yield lines[(scn.name, mode, "milp")]
 
 
 def models_section():
