@@ -183,13 +183,12 @@ class TestVariants:
 
 
 BUILDERS = {"miqcp": build_miqcp, "milp": build_milp}
+# a lightpath variable the fixed topology lights, per formulation
+LIT = {"miqcp": "l_v1_v2_e{v1,v2}_g0", "milp": "l_v1_v2_g0"}
 
 
 def with_d_max(scn, d_max):
     return dataclasses.replace(scn, requests=(dataclasses.replace(scn.requests[0], d_max=d_max),))
-
-# a lightpath variable the fixed topology lights, per formulation
-LIT = {"miqcp": "l_v1_v2_e{v1,v2}_g0", "milp": "l_v1_v2_g0"}
 
 
 @pytest.fixture
@@ -310,10 +309,10 @@ class TestCompiledOnce:
             sys.setswitchinterval(interval)
 
 
-def fresh(build, scn, fixed=False, prune=False):
-    """``build``'s model for ``scn``, from a compile of ``scn`` itself."""
+def fresh(build, scn, prune):
+    """``build``'s joint model for ``scn``, from a compile of ``scn`` itself."""
     exact._compiled = None
-    return build(scn, fixed, prune_pinned_tuples=prune)
+    return build(scn, prune_pinned_tuples=prune)
 
 
 def same(a, b, tables=("variables", "constraints", "sos2")):
@@ -425,7 +424,7 @@ class TestCompileKey:
             joint = build(scn, prune_pinned_tuples=prune)
             fixed = build(scn, True, prune_pinned_tuples=prune)
             assert len(compiles) == n + (what in keyed), what
-            same(joint, fresh(build, scn, prune=prune))
+            same(joint, fresh(build, scn, prune))
             same(fixed, build(scn, True, prune_pinned_tuples=prune))
 
 
@@ -453,7 +452,7 @@ def test_every_hit_equals_a_fresh_compile(path6, compiles, kind, prune, perms, h
         joint = build(scn, prune_pinned_tuples=prune)
         fixed = build(scn, True, prune_pinned_tuples=prune)
         seen += len(compiles) == n
-        ref = fresh(build, scn, prune=prune)
+        ref = fresh(build, scn, prune)
         ref_fixed = build(scn, True, prune_pinned_tuples=prune)
         same(joint, ref)
         # a fixed model holds its joint model's row records, so its rows
