@@ -2,9 +2,10 @@
 
 A parsed solution is checked twice: every model constraint is re-evaluated
 at the reported values, and the embedding encoded by the flow variables is
-re-timed with the exact reciprocal queue delays.  For the piecewise-linear
-formulation the gap between the model's lateness and the exact lateness is
-the realized approximation error.
+re-timed with the exact reciprocal queue delays, over every active
+embedding tuple by a longest-path pass (``request_lateness``).  For the
+piecewise-linear formulation the gap between the model's lateness and the
+exact lateness is the realized approximation error.
 """
 from __future__ import annotations
 
@@ -20,8 +21,6 @@ from .scenario import Scenario
 
 UNSTABLE = math.inf
 _TOL = 1e-6
-# embedding tuples re-timed per request path; beyond this, validation is not ok
-MAX_TUPLES = 10000
 
 
 @dataclass
@@ -42,9 +41,7 @@ class EmbeddingView:
     established: set[tuple[str, str]] = field(default_factory=set)
     arrivals: dict[tuple[int, str, str], float] = field(default_factory=dict)
     service: dict[tuple[int, str, str], float] = field(default_factory=dict)
-    placements: set[tuple[int, str, str]] = field(default_factory=set)
     warnings: list[str] = field(default_factory=list)
-    truncated: bool = False  # some tuples went unchecked
 
 
 def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> EmbeddingView:
@@ -102,8 +99,6 @@ def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> 
                         total += values.get(naming.lam_name(ri, a, vp, v, wp, v), 0.0)
                 view.arrivals[(ri, n, v)] = total
                 view.service[(ri, n, v)] = values.get(naming.mu_name(ri, n, v), 0.0)
-                if values.get(naming.y_name(ri, n, v), 0.0) > 0.5:
-                    view.placements.add((ri, n, v))
 
     pairs_ne = [(w, wp) for w in V for wp in V if w != wp]
     if kind == "miqcp":
@@ -128,13 +123,22 @@ def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> 
             if lit:
                 view.established.add((w, wp))
                 view.psi[(w, wp)] = table.dist[(w, wp)]
+    for key, route in view.routes.items():
+        for hop in route:
+            if hop not in view.established:
+                view.warnings.append(f"flow {key} rides a missing lightpath {hop}")
     return view
 
 
 def exact_path_delay(
     view: EmbeddingView, scn: Scenario, ri: int, path: tuple[str, ...], vtuple: tuple[str, ...]
 ) -> float | None:
-    """Exact delay along one embedded path, or None if the tuple is inactive."""
+    """Exact delay along one embedded path, or None if the tuple is inactive.
+
+    ``path`` may also be a prefix of a request path, with ``vtuple`` as long;
+    its last node's sojourn is then left out.  Hops are summed first, then
+    sojourns.
+    """
     mu_bar = scn.substrate.line_rate
     total = 0.0
     for j in range(len(path) - 1):
@@ -142,8 +146,6 @@ def exact_path_delay(
         if key not in view.routes:
             return None
         for hop in view.routes[key]:
-            if hop not in view.established:
-                view.warnings.append(f"flow {key} rides a missing lightpath {hop}")
             slack = mu_bar - view.loads.get(hop, 0.0)
             if not slack > 1e-12:  # a NaN slack cannot be shown stable either
                 return UNSTABLE
@@ -158,36 +160,36 @@ def exact_path_delay(
 
 
 def request_lateness(view: EmbeddingView, scn: Scenario) -> dict[int, float]:
-    """Worst exact lateness per request over all active embedding tuples."""
+    """Worst exact lateness per request over all active embedding tuples.
+
+    A tuple's delay is a sum over its steps, and what follows a vertex does
+    not depend on how the tuple reached it: hop loads are global, and a
+    sojourn depends only on its own vertex.  So each request path is walked
+    one arc at a time, keeping for every vertex only the slowest active
+    prefix that ends there: a longest path through a layered DAG.
+    """
     out: dict[int, float] = {}
     for ri, req in enumerate(scn.requests):
         worst = 0.0
         if view.embedded.get(ri):
-            g = req.graph
-            actives: dict[tuple[str, str], list[tuple[str, str]]] = {}
-            for (rk, ak, v, vp) in view.routes:
+            steps: dict[tuple[str, str], list[tuple[str, str]]] = {}
+            for (rk, ak, v, vp) in sorted(view.routes):
                 if rk == ri:
-                    actives.setdefault(ak, []).append((v, vp))
+                    steps.setdefault(ak, []).append((v, vp))
             found = False
-            for path in g.paths():
-                arcs = [(path[j], path[j + 1]) for j in range(len(path) - 1)]
-                if any(a not in actives for a in arcs):
-                    continue
-                tuples = [list(pair) for pair in sorted(actives[arcs[0]])]
-                for a in arcs[1:]:
-                    tuples = [
-                        t + [vp] for t in tuples for (v, vp) in sorted(actives[a]) if v == t[-1]
-                    ]
-                    if len(tuples) > MAX_TUPLES:
-                        view.warnings.append(
-                            f"request {ri}: embedding tuple enumeration truncated"
-                        )
-                        view.truncated = True
-                        tuples = tuples[:MAX_TUPLES]
-                for t in tuples:
-                    d = exact_path_delay(view, scn, ri, path, tuple(t))
-                    if d is None:
-                        continue
+            for path in req.graph.paths():
+                # the slowest prefix ending at each vertex, with its delay
+                ends = {v: (0.0, (v,)) for v in scn.substrate.vertices}
+                for j in range(1, len(path)):
+                    longer: dict[str, tuple[float, tuple[str, ...]]] = {}
+                    for (v, vp) in steps.get((path[j - 1], path[j]), ()):
+                        if v in ends:
+                            t = ends[v][1] + (vp,)
+                            d = exact_path_delay(view, scn, ri, path[:j + 1], t)
+                            if vp not in longer or d > longer[vp][0]:
+                                longer[vp] = (d, t)
+                    ends = longer
+                for d, _ in ends.values():
                     found = True
                     worst = max(worst, d - req.d_max)
             if not found:
@@ -242,11 +244,11 @@ def validate(
 ) -> ValidationReport:
     """Re-check every model row at the assignment and re-time it with exact delays.
 
-    A NaN or infinite value is a ``non_finite`` violation, and a re-timing
-    that stopped at ``MAX_TUPLES`` embedding tuples leaves the report not
-    ``ok``, so a solution that was not checked whole is never reported
-    ``ok``.  The warnings of a parsed ``Assignment`` come first in the
-    report's, then those of the re-timing.
+    The report is ``ok`` when no row, bound or SOS2 set is violated; the
+    re-timing checks every active embedding tuple of any solution.  A NaN
+    or infinite value is a ``non_finite`` violation, so it is never ``ok``.
+    The warnings of a parsed ``Assignment`` come first in the report's, then
+    those of the re-timing.
     """
     if isinstance(assignment, Assignment):
         raw, parse_warnings = assignment.values, assignment.warnings
@@ -291,7 +293,7 @@ def validate(
         worst_err = err if worst_err is None else max(worst_err, err)
 
     return ValidationReport(
-        ok=not violations and not view.truncated,
+        ok=not violations,
         model_kind=model.kind,
         violations=violations,
         exact_lateness=exact,

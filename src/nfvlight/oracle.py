@@ -244,7 +244,7 @@ class _Catalog:
 
     A search reads the routes of only a few vertex pairs, so ``routes``
     enumerates a pair's routes the first time any catalog on the same pair
-    graph asks, and ``enumerated`` records the pairs this one asked for.
+    graph asks, into the table ``shared`` that they all read.
     """
 
     def __init__(self, scn: Scenario, table, joint: bool):
@@ -278,16 +278,12 @@ class _Catalog:
         for v in self.neighbors:
             self.neighbors[v].sort(key=vidx.__getitem__)
         self.shared = _route_table(tuple(verts), tuple(self.pairs))
-        self.enumerated: dict[tuple[str, str], tuple[_Route, ...]] = {}
 
     def routes(self, a: str, b: str) -> tuple[_Route, ...]:
         """Every simple route from ``a`` to ``b``, fewest hops first, then by hops."""
-        found = self.enumerated.get((a, b))
+        found = self.shared.get((a, b))
         if found is None:
-            found = self.shared.get((a, b))
-            if found is None:
-                found = self.shared[(a, b)] = self._enumerate(a, b)
-            self.enumerated[(a, b)] = found
+            found = self.shared[(a, b)] = self._enumerate(a, b)
         return found
 
     def _enumerate(self, a: str, b: str) -> tuple[_Route, ...]:

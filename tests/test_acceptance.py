@@ -171,11 +171,13 @@ def test_external_milp_solutions_stay_near_exact_delays(tmp_path):
         "--out", str(out),
     ]) == 0
     rows = list(csv.DictReader(out.open()))
-    solved = [r for r in rows if r["status"] == "optimal"]
+    solved = [r for r in rows if r["status"] == "feasible"]
     assert solved, "the adapter solved no cells"
     for row in solved:
         assert float(row["wall_s"]) <= 600.0
-    within = sum(1 for r in solved if float(r["approx_error"]) < 0.01)
+    # an incumbent that embeds nothing has no approximation error to read
+    errors = [float(r["approx_error"]) for r in solved if r["approx_error"] != ""]
+    within = sum(1 for e in errors if e < 0.01)
     assert within / len(solved) >= 0.7
 
 

@@ -511,7 +511,7 @@ class TestExperiment:
         assert json.loads(capsys.readouterr().out)["solved"] == 1
         [row] = csv.DictReader(out.open())
         assert list(row)[-2:] == ["wall_s", "leaves"]
-        assert (row["status"], row["leaves"]) == ("optimal", "")
+        assert (row["status"], row["leaves"]) == ("feasible", "")
 
     def test_adapter_sweep_compiles_each_formulation_once(self, tmp_path, capsys, monkeypatch):
         # cells run one formulation at a time, and permutations 0 and 1 share

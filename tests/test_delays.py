@@ -4,10 +4,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 
-from nfvlight import build_milp, build_miqcp, delays, naming, validate
+from nfvlight import (
+    ForwardingGraph,
+    Request,
+    Scenario,
+    build_milp,
+    build_miqcp,
+    builtin_topology,
+    naming,
+    permutation_scenario,
+    validate,
+)
 from nfvlight.delays import (
     EmbeddingView,
     build_embedding_view,
@@ -15,7 +26,7 @@ from nfvlight.delays import (
     request_lateness,
 )
 from nfvlight.oracle import as_assignment, solve_exhaustive
-from conftest import make_tiny
+from conftest import make_tiny, random_chain_scenario
 
 
 class TestEmbeddingView:
@@ -23,7 +34,6 @@ class TestEmbeddingView:
         values = as_assignment(tiny_joint, tiny, "miqcp")
         view = build_embedding_view(tiny, "miqcp", values)
         assert view.embedded == {0: True}
-        assert view.placements == {(0, "f", "v2")}
         assert view.routes[(0, ("s", "f"), "v1", "v2")] == (("v1", "v2"),)
         assert view.routes[(0, ("f", "d"), "v2", "v3")] == (("v2", "v3"),)
         assert view.loads[("v1", "v2")] == pytest.approx(2.0)
@@ -92,6 +102,124 @@ class TestExactDelay:
         short_branch = exact_path_delay(view, scn, 0, ("s", "f", "d"), ("v1", "v2", "v1"))
         assert lateness == pytest.approx(max(long_branch, short_branch) - 1.0)
         assert lateness == pytest.approx(res.lateness)
+
+
+def enumerated_lateness(view: EmbeddingView, scn: Scenario) -> dict[int, float]:
+    """The reference: list every active embedding tuple and time each one whole."""
+    out = {}
+    for ri, req in enumerate(scn.requests):
+        worst = 0.0
+        if view.embedded.get(ri):
+            actives: dict[tuple[str, str], list[tuple[str, str]]] = {}
+            for (rk, ak, v, vp) in view.routes:
+                if rk == ri:
+                    actives.setdefault(ak, []).append((v, vp))
+            for path in req.graph.paths():
+                arcs = [(path[j], path[j + 1]) for j in range(len(path) - 1)]
+                if any(a not in actives for a in arcs):
+                    continue
+                tuples = [list(pair) for pair in sorted(actives[arcs[0]])]
+                for a in arcs[1:]:
+                    tuples = [
+                        t + [vp] for t in tuples for (v, vp) in sorted(actives[a]) if v == t[-1]
+                    ]
+                for t in tuples:
+                    worst = max(worst, exact_path_delay(view, scn, ri, path, tuple(t)) - req.d_max)
+        out[ri] = max(0.0, worst)
+    return out
+
+
+def chain_scenario(functions: int) -> Scenario:
+    """path6 carrying one chain of ``functions`` functions from v1 to v6."""
+    nodes = ("s", *(f"f{k}" for k in range(1, functions + 1)), "d")
+    graph = ForwardingGraph(nodes=nodes, arcs=tuple(zip(nodes, nodes[1:])))
+    req = Request(
+        graph=graph, d_max=1.0, initial_rates={("s", "f1"): 1.0},
+        source_restrictions=(("s", "v1", 1.0),), dest_restrictions=(("d", "v6", 1.0),),
+    )
+    sub = dataclasses.replace(builtin_topology("path6"), capacity={"v3": 50.0})
+    return Scenario(substrate=sub, requests=(req,), name=f"chain{functions}")
+
+
+def all_active_view(scn: Scenario, rng: random.Random) -> EmbeddingView:
+    """Every step between two vertices active on every arc, over direct lightpaths."""
+    V = scn.substrate.vertices
+    view = EmbeddingView(embedded={0: True})
+    for a in scn.requests[0].graph.arcs:
+        for v in V:
+            for vp in V:
+                view.routes[(0, a, v, vp)] = () if v == vp else ((v, vp),)
+    for v in V:
+        for vp in V:
+            if v != vp:
+                view.established.add((v, vp))
+                view.psi[(v, vp)] = rng.uniform(0.05, 0.5)
+                view.loads[(v, vp)] = rng.uniform(0.0, 3.5)
+    for n in scn.requests[0].graph.functional:
+        for v in V:
+            view.arrivals[(0, n, v)] = rng.uniform(0.0, 2.0)
+            view.service[(0, n, v)] = view.arrivals[(0, n, v)] + rng.uniform(0.2, 4.0)
+    return view
+
+
+def oracle_views(scn: Scenario):
+    for fixed in (False, True):
+        res = solve_exhaustive(scn, fixed)
+        for kind in ("miqcp", "milp"):
+            yield build_embedding_view(scn, kind, as_assignment(res, scn, kind))
+
+
+def assert_close(got: dict[int, float], want: dict[int, float]) -> None:
+    assert got.keys() == want.keys()
+    for ri in want:
+        assert math.isclose(got[ri], want[ri], rel_tol=1e-12), (ri, got[ri], want[ri])
+
+
+class TestLongestPath:
+    """``request_lateness`` against the enumeration of every active tuple."""
+
+    def test_fingerprint_cases_match_bit_for_bit(self, path6):
+        for perm in range(20):
+            scn = permutation_scenario(path6, perm, topology_name="path6")
+            for view in oracle_views(scn):
+                assert request_lateness(view, scn) == enumerated_lateness(view, scn), perm
+
+    @pytest.mark.parametrize("topology", ["path6", "cycle6", "barbell6"])
+    def test_other_permutations_match(self, topology):
+        sub = builtin_topology(topology)
+        for perm in range(20 if topology == "path6" else 0, 120, 9):
+            scn = permutation_scenario(sub, perm, topology_name=topology)
+            for view in oracle_views(scn):
+                assert_close(request_lateness(view, scn), enumerated_lateness(view, scn))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_chains_match(self, seed):
+        scn = random_chain_scenario(random.Random(seed), f"lp{seed}")
+        for view in oracle_views(scn):
+            assert_close(request_lateness(view, scn), enumerated_lateness(view, scn))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_perturbed_views_match(self, seed, path6):
+        rng = random.Random(seed)
+        chain = chain_scenario(2)
+        perm = permutation_scenario(path6, rng.randrange(120), topology_name="path6")
+        cases = [(all_active_view(chain, rng), chain)]
+        cases += [(view, perm) for view in oracle_views(perm)]
+        for view, scn in cases:
+            for key in view.service:
+                view.service[key] *= rng.uniform(0.8, 1.2)
+            for key in view.loads:
+                view.loads[key] *= rng.uniform(0.8, 1.2)
+            assert_close(request_lateness(view, scn), enumerated_lateness(view, scn))
+
+    def test_more_tuples_than_the_old_cap(self):
+        # five arcs over six vertices, every step active: 6**6 = 46,656 tuples
+        scn = chain_scenario(4)
+        view = all_active_view(scn, random.Random(7))
+        got = request_lateness(view, scn)
+        assert got == enumerated_lateness(view, scn)
+        assert got[0] > 0.0
+        assert not view.warnings
 
 
 class TestValidate:
@@ -196,16 +324,6 @@ class TestValidate:
         assert rep.exact_lateness == {0: 0.0}
         assert rep.per_request_error == {0: None}
 
-    def test_truncated_retiming_is_not_ok(self, perm0, perm0_joint, monkeypatch):
-        # perm0's chain fans out to three destinations: three embedding tuples
-        values = as_assignment(perm0_joint, perm0, "miqcp")
-        assert validate(perm0, build_miqcp(perm0), values).ok
-        monkeypatch.setattr(delays, "MAX_TUPLES", 2)
-        rep = validate(perm0, build_miqcp(perm0), values)
-        assert not rep.ok and not rep.violations
-        assert "request 0: embedding tuple enumeration truncated" in rep.warnings
-        assert json.loads(rep.to_json())["ok"] is False
-
     def test_milp_report_carries_model_and_exact_lateness(self, perm0, perm0_joint):
         m = build_milp(perm0)
         rep = validate(perm0, m, as_assignment(perm0_joint, perm0, "milp"))
@@ -238,6 +356,7 @@ class TestDroppedFamilies:
         rep = self.report_without(case, kind, "l_")
         assert not rep.ok
         assert any(" rides a missing lightpath " in w for w in rep.warnings)
+        assert len(rep.warnings) == len(set(rep.warnings))
         assert "lightpath_capacity" in {v.family for v in rep.violations}
 
     @pytest.mark.parametrize("kind", ["miqcp", "milp"])

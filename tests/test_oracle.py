@@ -687,10 +687,11 @@ def _eager_routes(sub, joint):
 def test_catalog_routes_match_an_eager_enumeration(topology, joint):
     sub = builtin_topology(topology)
     scn = permutation_scenario(sub, 0, topology_name=topology)
+    _route_table.cache_clear()
     catalog = _Catalog(scn, shortest_paths(sub), joint)
     pairs, routes = _eager_routes(sub, joint)
     assert catalog.pairs == pairs
-    assert not catalog.enumerated
+    assert not catalog.shared
     for (a, b), expected in routes.items():
         got = catalog.routes(a, b)
         assert [(r.hops, r.pairs) for r in got] == expected
@@ -704,6 +705,7 @@ def test_catalog_routes_match_an_eager_enumeration(topology, joint):
 def test_joint_search_enumerates_only_the_pairs_it_routes(perm):
     sub = builtin_topology("barbell6")
     scn = permutation_scenario(sub, perm, topology_name="barbell6")
+    _route_table.cache_clear()
     search = _Search(scn, False, None, None)
     search.run()
     # segments run from the source to a placement and from it to a destination
@@ -712,13 +714,14 @@ def test_joint_search_enumerates_only_the_pairs_it_routes(perm):
     cands = search.candidates[(plan.ri, n)]
     routable = {(plan.source_vertex, c) for c in cands}
     routable |= {(c, d) for c in cands for d, _rate in plan.branches}
-    read = set(search.catalog.enumerated)
+    read = set(search.catalog.shared)
     assert read <= routable
     assert 0 < len(read) < 30
 
 
 def test_route_lists_are_shared_per_topology_and_mode():
     sub = builtin_topology("barbell6")
+    _route_table.cache_clear()
     catalogs = {}
     for perm in (0, 17):
         scn = permutation_scenario(sub, perm, topology_name="barbell6")
@@ -728,11 +731,11 @@ def test_route_lists_are_shared_per_topology_and_mode():
             catalogs[(perm, fixed)] = search.catalog
     for fixed in (False, True):
         first, second = catalogs[(0, fixed)], catalogs[(17, fixed)]
-        assert first.enumerated
-        for (a, b), routes in first.enumerated.items():
+        assert first.shared and first.shared is second.shared
+        for (a, b), routes in first.shared.items():
             assert second.routes(a, b) is routes
     joint, fixed = catalogs[(0, False)], catalogs[(0, True)]
-    for (a, b), routes in joint.enumerated.items():
+    for (a, b), routes in joint.shared.items():
         assert fixed.routes(a, b) is not routes
     assert _route_table.cache_info().currsize <= 2
     for topology in ("path6", "cycle6", "barbell6"):

@@ -26,7 +26,7 @@ digests mean equal results, bit for bit.  Sections:
   permutation 0 with default options: ``perm0-milp-lp``, ``perm0-milp-mps``
   and ``perm0-miqcp-lp``.
 
-The run takes about 10 seconds on one core of a shared 2-vCPU host
+The run takes about 9 seconds on one core of a shared 2-vCPU host
 (Python 3.11), about 1 second of it for ``models``.
 """
 from __future__ import annotations
