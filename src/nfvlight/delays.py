@@ -1,18 +1,27 @@
 """Exact M/M/1 delay evaluation and solution validation.
 
-A parsed solution is checked twice: every model constraint is re-evaluated
+A parsed solution is checked twice: the model constraints are re-evaluated
 at the reported values, and the embedding encoded by the flow variables is
 re-timed with the exact reciprocal queue delays, over every active
 embedding tuple by a longest-path pass (``request_lateness``).  For the
 piecewise-linear formulation the gap between the model's lateness and the
 exact lateness is the realized approximation error.
+
+Both steps cost about as much as the solution has values other than 0.0.
+``validate`` evaluates only the rows that ``Model.rows_to_check`` gives;
+every other row reads only zeros and holds.  ``build_embedding_view``
+reads only the values other than 0.0, through tables of the names of one
+topology, formatted once per process.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import NamedTuple
 
 from . import naming
 from .approx import shortest_paths
@@ -44,85 +53,145 @@ class EmbeddingView:
     warnings: list[str] = field(default_factory=list)
 
 
+class _ViewNames(NamedTuple):
+    """The names ``build_embedding_view`` reads, with what each one stands for."""
+
+    embedded: tuple[str, ...]  # x2 per request
+    # lam name -> (position in loop order, (ri, arc, v, v'), hop (w, w'),
+    # the (ri, node, v') whose arrivals it adds to, or None)
+    flows: dict[str, tuple]
+    pairs: tuple[tuple[str, str], ...]  # ordered vertex pairs w != w'
+    service: tuple[tuple[tuple[int, str, str], str], ...]  # (ri, node, v) and its mu
+    lightpaths: dict[str, tuple]  # l name -> (position, (w, w'), edge)
+    wavelength_lightpaths: dict[str, tuple]  # l_wa name -> (position, (w, w'))
+
+
+@functools.lru_cache(maxsize=2)
+def _view_names(
+    vertices: tuple[str, ...],
+    edges: tuple[tuple[str, str], ...],
+    wavelengths: int,
+    graphs: tuple[tuple[tuple[str, ...], tuple[tuple[str, str], ...]], ...],
+) -> _ViewNames:
+    """Every name of one topology and request set, formatted once.
+
+    ``graphs`` holds each request's forwarding nodes and arcs, in order.
+    """
+    V = vertices
+    squares = tuple(itertools.product(V, repeat=2))
+    pairs = tuple((w, wp) for (w, wp) in squares if w != wp)
+    flows: dict[str, tuple] = {}
+    service = []
+    for ri, (nodes, arcs) in enumerate(graphs):
+        tails = {t for t, _ in arcs}
+        heads = {h for _, h in arcs}
+        for a in arcs:
+            # a flow that ends where its hop ends arrives at a's head, if functional
+            into = {vp: (ri, a[1], vp) for vp in V} if a[1] in tails else {}
+            for (v, vp) in squares:
+                block = (ri, a, v, vp)
+                for hop in squares:
+                    arrival = into.get(vp) if hop[1] == vp else None
+                    name = naming.lam_name(ri, a, v, vp, *hop)
+                    flows[name] = (len(flows), block, hop, arrival)
+        for n in nodes:
+            if n in heads and n in tails:
+                service += [((ri, n, v), naming.mu_name(ri, n, v)) for v in V]
+    lightpaths = {}
+    for pair in pairs:
+        for e in edges:
+            for gamma in range(wavelengths):
+                lightpaths[naming.l_name(*pair, e, gamma)] = (len(lightpaths), pair, e)
+    wavelength_lightpaths = {
+        naming.l_wa_name(*pair, gamma): (i, pair)
+        for i, pair in enumerate(pairs)
+        for gamma in range(wavelengths)
+    }
+    return _ViewNames(
+        tuple(naming.x_name(2, ri) for ri in range(len(graphs))),
+        flows, pairs, tuple(service), lightpaths, wavelength_lightpaths,
+    )
+
+
 def build_embedding_view(scn: Scenario, kind: str, values: dict[str, float]) -> EmbeddingView:
+    """The embedding that ``values`` encode, read from its values other than 0.0.
+
+    A value of exactly 0.0 (either sign) adds nothing to a load or an
+    arrival sum, which starts at 0.0, and passes no threshold, so only the
+    rest are read, each sum in the order of its terms.
+    """
     sub = scn.substrate
-    V = sub.vertices
+    names = _view_names(
+        sub.vertices, sub.edges, sub.wavelengths,
+        tuple((req.graph.nodes, req.graph.arcs) for req in scn.requests),
+    )
     view = EmbeddingView()
     thresh = scn.lambda_min / 2.0
+    view.embedded = {ri: values.get(name, 0.0) > 0.5 for ri, name in enumerate(names.embedded)}
 
-    for ri, req in enumerate(scn.requests):
-        g = req.graph
-        view.embedded[ri] = values.get(naming.x_name(2, ri), 0.0) > 0.5
-        for a in g.arcs:
-            for v, vp in itertools.product(V, repeat=2):
-                hops = []
-                for w, wp in itertools.product(V, repeat=2):
-                    val = values.get(naming.lam_name(ri, a, v, vp, w, wp), 0.0)
-                    if w != wp:
-                        view.loads[(w, wp)] = view.loads.get((w, wp), 0.0) + val
-                    if val > thresh:
-                        hops.append((w, wp))
-                if not hops:
-                    continue
-                key = (ri, a, v, vp)
-                if v == vp and (v, v) in hops:
-                    rest = {h for h in hops if h != (v, v)}
-                    if rest:
-                        view.warnings.append(f"flow {key} mixes a stationary and a routed path")
-                    view.routes[key] = ()
-                    continue
-                by_tail: dict[str, str] = {}
-                for (w, wp) in hops:
-                    if w in by_tail:
-                        view.warnings.append(f"flow {key} branches at {w}")
-                    by_tail[w] = wp
-                route: list[tuple[str, str]] = []
-                cur = v
-                for _ in range(len(V)):
-                    if cur == vp:
-                        break
-                    nxt = by_tail.pop(cur, None)
-                    if nxt is None:
-                        break
-                    route.append((cur, nxt))
-                    cur = nxt
-                if cur != vp or by_tail:
-                    view.warnings.append(f"flow {key} has a broken route")
-                    continue
-                view.routes[key] = tuple(route)
+    flows, lit = [], []
+    lightpaths = names.lightpaths if kind == "miqcp" else names.wavelength_lightpaths
+    for name in compress(values, values.values()):
+        entry = names.flows.get(name)
+        if entry is not None:
+            flows.append((entry, values[name]))
+        else:
+            entry = lightpaths.get(name)
+            if entry is not None and values[name] > 0.5:
+                lit.append(entry)
 
-        for n in g.functional:
-            for v in V:
-                total = 0.0
-                for a in g.in_arcs(n):
-                    for vp, wp in itertools.product(V, repeat=2):
-                        total += values.get(naming.lam_name(ri, a, vp, v, wp, v), 0.0)
-                view.arrivals[(ri, n, v)] = total
-                view.service[(ri, n, v)] = values.get(naming.mu_name(ri, n, v), 0.0)
+    if names.flows:
+        view.loads = dict.fromkeys(names.pairs, 0.0)
+    arrivals = dict.fromkeys([key for key, _ in names.service], 0.0)
+    blocks: dict[tuple, list[tuple[str, str]]] = {}
+    for (_, block, hop, arrival), val in sorted(flows):  # positions are unique
+        if hop[0] != hop[1]:
+            view.loads[hop] += val
+        if val > thresh:
+            blocks.setdefault(block, []).append(hop)
+        if arrival is not None:
+            arrivals[arrival] += val
+    view.arrivals = arrivals
+    view.service = {key: values.get(name, 0.0) for key, name in names.service}
 
-    pairs_ne = [(w, wp) for w in V for wp in V if w != wp]
+    V = sub.vertices
+    for key, hops in blocks.items():
+        _, _, v, vp = key
+        if v == vp and (v, v) in hops:
+            rest = {h for h in hops if h != (v, v)}
+            if rest:
+                view.warnings.append(f"flow {key} mixes a stationary and a routed path")
+            view.routes[key] = ()
+            continue
+        by_tail: dict[str, str] = {}
+        for (w, wp) in hops:
+            if w in by_tail:
+                view.warnings.append(f"flow {key} branches at {w}")
+            by_tail[w] = wp
+        route: list[tuple[str, str]] = []
+        cur = v
+        for _ in range(len(V)):
+            if cur == vp:
+                break
+            nxt = by_tail.pop(cur, None)
+            if nxt is None:
+                break
+            route.append((cur, nxt))
+            cur = nxt
+        if cur != vp or by_tail:
+            view.warnings.append(f"flow {key} has a broken route")
+            continue
+        view.routes[key] = tuple(route)
+
     if kind == "miqcp":
-        for (w, wp) in pairs_ne:
-            delay = 0.0
-            lit = False
-            for e in sub.edges:
-                for gamma in range(sub.wavelengths):
-                    if values.get(naming.l_name(w, wp, e, gamma), 0.0) > 0.5:
-                        lit = True
-                        delay += sub.delay[e]
-            if lit:
-                view.established.add((w, wp))
-                view.psi[(w, wp)] = delay
+        for _, pair, e in sorted(lit):
+            view.established.add(pair)
+            view.psi[pair] = view.psi.get(pair, 0.0) + sub.delay[e]
     else:
         table = shortest_paths(sub)
-        for (w, wp) in pairs_ne:
-            lit = any(
-                values.get(naming.l_wa_name(w, wp, gamma), 0.0) > 0.5
-                for gamma in range(sub.wavelengths)
-            )
-            if lit:
-                view.established.add((w, wp))
-                view.psi[(w, wp)] = table.dist[(w, wp)]
+        for _, pair in sorted(lit):
+            view.established.add(pair)
+            view.psi[pair] = table.dist[pair]
     for key, route in view.routes.items():
         for hop in route:
             if hop not in view.established:
@@ -168,14 +237,15 @@ def request_lateness(view: EmbeddingView, scn: Scenario) -> dict[int, float]:
     one arc at a time, keeping for every vertex only the slowest active
     prefix that ends there: a longest path through a layered DAG.
     """
+    # per request and arc, the (v, v') of its routed flows, in sorted order
+    steps_of: dict[int, dict[tuple[str, str], list[tuple[str, str]]]] = {}
+    for (ri, a, v, vp) in sorted(view.routes):
+        steps_of.setdefault(ri, {}).setdefault(a, []).append((v, vp))
     out: dict[int, float] = {}
     for ri, req in enumerate(scn.requests):
         worst = 0.0
         if view.embedded.get(ri):
-            steps: dict[tuple[str, str], list[tuple[str, str]]] = {}
-            for (rk, ak, v, vp) in sorted(view.routes):
-                if rk == ri:
-                    steps.setdefault(ak, []).append((v, vp))
+            steps = steps_of.get(ri, {})
             found = False
             for path in req.graph.paths():
                 # the slowest prefix ending at each vertex, with its delay
@@ -242,8 +312,11 @@ class ValidationReport:
 def validate(
     scn: Scenario, model: Model, assignment: Assignment | dict[str, float]
 ) -> ValidationReport:
-    """Re-check every model row at the assignment and re-time it with exact delays.
+    """Re-check the model at the assignment and re-time it with exact delays.
 
+    Rows come from ``model.rows_to_check``, which leaves out only rows that
+    hold at these values, so the violations, their order and their amounts
+    are those of a pass over every row.
     The report is ``ok`` when no row, bound or SOS2 set is violated; the
     re-timing checks every active embedding tuple of any solution.  A NaN
     or infinite value is a ``non_finite`` violation, so it is never ``ok``.
@@ -257,7 +330,7 @@ def validate(
     values = {name: raw.get(name, 0.0) for name in model.variables}
 
     violations: list[Violation] = []
-    for con in model.constraints.values():
+    for con in model.rows_to_check(values):
         amt = constraint_violation(con, values)
         if amt > _TOL:
             violations.append(Violation(con.name, con.family, amt))
@@ -299,7 +372,7 @@ def validate(
         exact_lateness=exact,
         max_exact_lateness=max(exact.values(), default=0.0),
         model_lateness=model_lateness,
-        model_max_lateness=values.get("x4", 0.0),
+        model_max_lateness=values.get(naming.x_name(4), 0.0),
         per_request_error=per_err,
         approximation_error=worst_err,
         unstable=unstable,

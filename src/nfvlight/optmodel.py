@@ -21,12 +21,17 @@ objective of the same model and pins each solved part with an equality row.
 ``Model.copy`` gives a model its own tables over the same records, term
 tuples and objective parts, which are immutable; changing the copy leaves
 the original as it was.
+``Model.rows_to_check`` gives the rows that an assignment can break, through
+a column index from each variable to the rows that read it.  The index is
+built the first time it is asked for and is shared by a model's copies, so
+validating many copies of one compiled model costs one build.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress, islice
+from operator import is_, itemgetter
 from typing import NamedTuple
 
 ROLE_TAGS = ("lam", "mu", "l", "x1", "x2", "x3", "x4", "y", "z", "eta", "theta", "xi")
@@ -175,6 +180,58 @@ def _check_name(what: str, name: str) -> None:
         raise ModelError(f"{what} name {name!r} is empty, has a space or is not printable")
 
 
+class _RowIndex(NamedTuple):
+    """A column index over a model's leading rows (CSC-style).
+
+    ``columns`` maps each variable to the positions in ``records`` of the
+    rows that hold it in ``lin`` or as the first factor ``a`` of a product;
+    ``broken_at_zero`` holds the positions of the rows that a left-hand side
+    of 0.0 breaks.
+    """
+
+    records: tuple[Constraint, ...]
+    columns: dict[str, list[int]]
+    broken_at_zero: tuple[int, ...]
+
+
+def _build_row_index(records: tuple[Constraint, ...]) -> _RowIndex:
+    """The column index over ``records``, one pass over their terms."""
+    columns: dict[str, list[int]] = {}
+    get = columns.get
+    broken = []
+    for pos, con in enumerate(records):
+        for _, name in con.lin:  # merged, so each name once
+            col = get(name)
+            if col is None:
+                columns[name] = [pos]
+            else:
+                col.append(pos)
+        for name, _ in con.products:
+            col = get(name)
+            if col is None:
+                columns[name] = [pos]
+            elif col[-1] != pos:  # positions come in order, so a repeat is the last one
+                col.append(pos)
+        sense, rhs = con.sense, con.rhs
+        if rhs < 0.0 if sense == "<=" else rhs > 0.0 if sense == ">=" else rhs != 0.0:
+            broken.append(pos)
+    return _RowIndex(records, columns, tuple(broken))
+
+
+class _SharedIndex:
+    """The row index of a model and its copies, and how many rows it may cover.
+
+    ``limit`` is the number of leading rows that every model sharing this
+    holds in common (``None`` before the first copy: all of them).
+    """
+
+    __slots__ = ("index", "limit")
+
+    def __init__(self):
+        self.index: _RowIndex | None = None
+        self.limit: int | None = None
+
+
 class Model:
     def __init__(self, kind: str, name: str = "model"):
         if kind not in ("miqcp", "milp"):
@@ -190,15 +247,22 @@ class Model:
         self.objective_parts: dict[int, tuple[tuple[tuple[float, str], ...], str]] = {}
         # id -> checked product terms tuple, held so that the id stays unique
         self._checked_terms: dict[int, tuple] = {}
+        self._shared = _SharedIndex()
 
     def copy(self) -> Model:
         """A model with the same content in new tables, cheap to change alone.
 
         The tables are new dicts over the same immutable records and term
         tuples, so ``add_*``, ``fix_var`` and ``set_objective`` on either
-        model leave the other as it was.
+        model leave the other as it was.  The two models share the row index
+        of ``rows_to_check``, over the rows both hold now; rows either model
+        adds later are outside it.
         """
+        shared = self._shared
+        if shared.limit is None or len(self.constraints) < shared.limit:
+            shared.limit = len(self.constraints)
         other = Model(self.kind, self.name)
+        other._shared = shared
         other.variables = dict(self.variables)
         other.constraints = dict(self.constraints)
         other.sos2 = dict(self.sos2)
@@ -206,6 +270,42 @@ class Model:
         other.objective_parts = dict(self.objective_parts)
         other._checked_terms = dict(self._checked_terms)
         return other
+
+    def rows_to_check(self, values: dict[str, float]) -> list[Constraint]:
+        """The rows that ``values`` can break, in insertion order.
+
+        These are the indexed rows that hold a variable whose value is not
+        exactly 0.0 (NaN counts), in ``lin`` or as a product's ``a``; the
+        rows that a left-hand side of 0.0 breaks; and every row outside the
+        index.  Every other row reads only zeros and products that
+        ``constraint_lhs`` skips, so its left-hand side is exactly 0.0 and
+        it holds.
+        """
+        index = self._row_index()
+        hit = set(index.broken_at_zero)
+        for rows in filter(None, map(index.columns.get, compress(values, values.values()))):
+            hit.update(rows)
+        records = index.records
+        checked = [records[pos] for pos in sorted(hit)]
+        checked += islice(self.constraints.values(), len(records), None)
+        return checked
+
+    def _row_index(self) -> _RowIndex:
+        shared = self._shared
+        index = shared.index
+        if index is not None:
+            rows = index.records
+            # the records are immutable, so the same objects are the same rows
+            if len(self.constraints) >= len(rows) and all(
+                map(is_, self.constraints.values(), rows)
+            ):
+                return index
+            # a row the index was built from is not here: this model leaves the group
+            shared = self._shared = _SharedIndex()
+        index = shared.index = _build_row_index(
+            tuple(islice(self.constraints.values(), shared.limit))
+        )
+        return index
 
     # -- construction -------------------------------------------------------
 

@@ -47,7 +47,8 @@ def test_unclean_runs_are_counted_and_left_out():
 
 
 HASHES = {"oracle": "4d54" + "0" * 60, "search": "d007" + "1" * 60,
-          "validation": "7e4b" + "a" * 60, "models": "5f7c" + "b" * 60}
+          "validation": "7e4b" + "a" * 60, "violations": "71c2" + "c" * 60,
+          "models": "5f7c" + "b" * 60}
 
 
 def fingerprint_output(**counts):
@@ -59,6 +60,7 @@ def test_fingerprint_sections_are_parsed():
     assert out == {"oracle": {"count": 723, "sha256": HASHES["oracle"]},
                    "search": {"count": 723, "sha256": HASHES["search"]},
                    "validation": {"count": 80, "sha256": HASHES["validation"]},
+                   "violations": {"count": 80, "sha256": HASHES["violations"]},
                    "models": {"count": 3, "sha256": HASHES["models"]}}
 
 

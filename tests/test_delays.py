@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import random
@@ -15,16 +17,23 @@ from nfvlight import (
     build_milp,
     build_miqcp,
     builtin_topology,
+    exact,
+    motivation_scenario,
     naming,
+    optmodel,
     permutation_scenario,
     validate,
 )
+from nfvlight.approx import shortest_paths
 from nfvlight.delays import (
     EmbeddingView,
+    Violation,
+    _TOL,
     build_embedding_view,
     exact_path_delay,
     request_lateness,
 )
+from nfvlight.optmodel import constraint_violation
 from nfvlight.oracle import as_assignment, solve_exhaustive
 from conftest import make_tiny, random_chain_scenario
 
@@ -365,3 +374,273 @@ class TestDroppedFamilies:
         assert not rep.ok
         assert "request 0 is embedded but has no active path" in rep.warnings
         assert "initial_rate" in {v.family for v in rep.violations}
+
+
+def dense_violations(model, values: dict[str, float]) -> list[Violation]:
+    """The reference: every row, variable and SOS2 set checked, in table order."""
+    violations = []
+    for con in model.constraints.values():
+        amt = constraint_violation(con, values)
+        if amt > _TOL:
+            violations.append(Violation(con.name, con.family, amt))
+    for var in model.variables.values():
+        val = values[var.name]
+        if not math.isfinite(val):
+            violations.append(Violation(var.name, "non_finite", math.inf))
+            continue
+        gap = max(var.lb - val, (val - var.ub) if var.ub is not None else 0.0)
+        if gap > _TOL:
+            violations.append(Violation(var.name, "variable_bounds", gap))
+    for sos in model.sos2.values():
+        live = [i for i, name in enumerate(sos.members) if abs(values[name]) > _TOL]
+        if len(live) > 2 or (len(live) == 2 and live[1] - live[0] != 1):
+            violations.append(Violation(sos.name, "sos2_adjacency", float(len(live))))
+    return violations
+
+
+def dense_view(scn: Scenario, kind: str, values: dict[str, float]) -> EmbeddingView:
+    """The reference: every name formatted and read, loads summed over every flow."""
+    sub = scn.substrate
+    V = sub.vertices
+    view = EmbeddingView()
+    thresh = scn.lambda_min / 2.0
+    for ri, req in enumerate(scn.requests):
+        g = req.graph
+        view.embedded[ri] = values.get(naming.x_name(2, ri), 0.0) > 0.5
+        for a in g.arcs:
+            for v, vp in itertools.product(V, repeat=2):
+                hops = []
+                for w, wp in itertools.product(V, repeat=2):
+                    val = values.get(naming.lam_name(ri, a, v, vp, w, wp), 0.0)
+                    if w != wp:
+                        view.loads[(w, wp)] = view.loads.get((w, wp), 0.0) + val
+                    if val > thresh:
+                        hops.append((w, wp))
+                if not hops:
+                    continue
+                key = (ri, a, v, vp)
+                if v == vp and (v, v) in hops:
+                    if {h for h in hops if h != (v, v)}:
+                        view.warnings.append(f"flow {key} mixes a stationary and a routed path")
+                    view.routes[key] = ()
+                    continue
+                by_tail: dict[str, str] = {}
+                for (w, wp) in hops:
+                    if w in by_tail:
+                        view.warnings.append(f"flow {key} branches at {w}")
+                    by_tail[w] = wp
+                route = []
+                cur = v
+                for _ in range(len(V)):
+                    if cur == vp:
+                        break
+                    nxt = by_tail.pop(cur, None)
+                    if nxt is None:
+                        break
+                    route.append((cur, nxt))
+                    cur = nxt
+                if cur != vp or by_tail:
+                    view.warnings.append(f"flow {key} has a broken route")
+                    continue
+                view.routes[key] = tuple(route)
+        for n in g.functional:
+            for v in V:
+                total = 0.0
+                for a in g.in_arcs(n):
+                    for vp, wp in itertools.product(V, repeat=2):
+                        total += values.get(naming.lam_name(ri, a, vp, v, wp, v), 0.0)
+                view.arrivals[(ri, n, v)] = total
+                view.service[(ri, n, v)] = values.get(naming.mu_name(ri, n, v), 0.0)
+    pairs_ne = [(w, wp) for w in V for wp in V if w != wp]
+    if kind == "miqcp":
+        for (w, wp) in pairs_ne:
+            delay, lit = 0.0, False
+            for e in sub.edges:
+                for gamma in range(sub.wavelengths):
+                    if values.get(naming.l_name(w, wp, e, gamma), 0.0) > 0.5:
+                        lit = True
+                        delay += sub.delay[e]
+            if lit:
+                view.established.add((w, wp))
+                view.psi[(w, wp)] = delay
+    else:
+        table = shortest_paths(sub)
+        for (w, wp) in pairs_ne:
+            if any(values.get(naming.l_wa_name(w, wp, gamma), 0.0) > 0.5
+                   for gamma in range(sub.wavelengths)):
+                view.established.add((w, wp))
+                view.psi[(w, wp)] = table.dist[(w, wp)]
+    for key, route in view.routes.items():
+        for hop in route:
+            if hop not in view.established:
+                view.warnings.append(f"flow {key} rides a missing lightpath {hop}")
+    return view
+
+
+def hexed(d: dict) -> list:
+    """A dict's items in order, floats as ``float.hex``."""
+    return [(k, v.hex() if isinstance(v, float) else v) for k, v in d.items()]
+
+
+def assert_same_view(got: EmbeddingView, want: EmbeddingView) -> None:
+    assert list(got.embedded.items()) == list(want.embedded.items())
+    assert list(got.routes.items()) == list(want.routes.items())
+    for name in ("loads", "psi", "arrivals", "service"):
+        assert hexed(getattr(got, name)) == hexed(getattr(want, name)), name
+    assert got.established == want.established
+    assert got.warnings == want.warnings
+
+
+def assert_matches_dense(scn: Scenario, model, raw: dict[str, float]):
+    """``validate`` equals the dense references field by field; its report."""
+    rep = validate(scn, model, raw)
+    values = {name: raw.get(name, 0.0) for name in model.variables}
+    want = [(v.name, v.family, v.amount.hex()) for v in dense_violations(model, values)]
+    assert [(v.name, v.family, v.amount.hex()) for v in rep.violations] == want
+    view = dense_view(scn, model.kind, values)
+    assert_same_view(build_embedding_view(scn, model.kind, values), view)
+    assert hexed(rep.exact_lateness) == hexed(request_lateness(view, scn))
+    assert rep.warnings == view.warnings
+    return rep
+
+
+ODD_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+def perturbed(values: dict[str, float], model, rng: random.Random) -> dict[str, float]:
+    """``values`` with some live variables zeroed and some variables reset at random."""
+    out = dict(values)
+    live = sorted(name for name, v in values.items() if v)
+    for name in rng.sample(live, rng.randint(0, min(4, len(live)))):
+        out[name] = rng.choice((0.0, -0.0))
+    for name in rng.sample(list(model.variables), rng.randint(1, 8)):
+        out[name] = rng.choice(ODD_VALUES) if rng.random() < 0.4 else rng.uniform(-3.0, 3.0)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def differential_scenario(name: str) -> Scenario:
+    if name == "tiny":
+        return make_tiny()
+    if name == "motivation":
+        return motivation_scenario()
+    return permutation_scenario(builtin_topology("path6"), int(name[6:]), topology_name="path6")
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_answer(name: str, fixed: bool):
+    return solve_exhaustive(differential_scenario(name), fixed)
+
+
+BUILDS = {"miqcp": build_miqcp, "milp": build_milp}
+
+
+class TestSparseValidation:
+    """``validate`` checks only the rows a value can break; the dense loop is the reference."""
+
+    # formulation first, so that consecutive builds hit the compile cache
+    @pytest.mark.parametrize("name, kind, mode", [
+        (name, kind, mode) for kind, name, mode in itertools.product(
+            ["miqcp", "milp"], ["tiny", "motivation", "path6-0", "path6-41", "path6-97"],
+            ["joint", "fixed"],
+        )
+        # the default partitions cannot carry this answer: as_assignment refuses it
+        if (name, kind, mode) != ("motivation", "milp", "fixed")
+    ])
+    def test_perturbed_assignments_match_the_dense_check(self, name, kind, mode):
+        scn = differential_scenario(name)
+        fixed = mode == "fixed"
+        model = BUILDS[kind](scn, fixed)
+        values = as_assignment(oracle_answer(name, fixed), scn, kind)
+        assert assert_matches_dense(scn, model, values).ok
+        assert not assert_matches_dense(scn, model, {}).ok  # rows that 0.0 breaks
+        rng = random.Random(f"{name}-{kind}-{mode}")
+        for _ in range(4):
+            assert_matches_dense(scn, model, perturbed(values, model, rng))
+
+    @pytest.mark.parametrize("name", ["tiny", "path6-41"])
+    def test_live_first_factor_and_live_partner_of_a_zero_one(self, name):
+        scn = differential_scenario(name)
+        model = build_miqcp(scn)
+        values = as_assignment(oracle_answer(name, False), scn, "miqcp")
+        products = [(con, a, terms) for con in model.constraints.values()
+                    for a, terms in con.products
+                    if not values.get(a) and con.sense == "<="
+                    and sum(c * values.get(b, 0.0) for c, b in terms) > 0]
+        con, a, terms = products[len(products) // 2]
+        partner = dict(values)
+        partner[terms[0][1]] = 7.0  # b is live, a is 0.0: the product adds nothing
+        assert_matches_dense(scn, model, partner)
+        first = dict(values)
+        first.update((v, 0.0) for _, v in con.lin)
+        first[a] = 1e3  # only a is live in the row, so the row is read through a
+        rep = assert_matches_dense(scn, model, first)
+        assert con.name in {v.name for v in rep.violations}
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_rows_added_after_a_copy(self, kind):
+        scn = differential_scenario("path6-41")
+        model = BUILDS[kind](scn)
+        values = dict(as_assignment(oracle_answer("path6-41", False), scn, kind))
+        assert_matches_dense(scn, model, values)
+        values[naming.mu_name(0, "f", "v3")] = 1e4  # breaks a scenario row of the copy
+        rep = assert_matches_dense(scn, model, values)
+        assert "vertex_capacity" in {v.family for v in rep.violations}
+        terms, _ = next(iter(model.objective_parts.values()))
+        pinned = model.copy()
+        value = optmodel.objective_value(pinned, values)
+        pinned.add_con("objective_pin_o0", "objective_pin", terms, "=", value + 1.0)
+        rep = assert_matches_dense(scn, pinned, values)
+        assert "objective_pin_o0" in {v.name for v in rep.violations}
+        twice = pinned.copy()  # a copy of a copy
+        twice.add_con("objective_pin_o1", "objective_pin", terms, "=", value - 1.0)
+        rep = assert_matches_dense(scn, twice, values)
+        assert {"objective_pin_o0", "objective_pin_o1"} <= {v.name for v in rep.violations}
+        # the original gains a row after it was copied, and is checked after its copies
+        model.add_con("objective_pin_o2", "objective_pin", terms, "=", value + 2.0)
+        rep = assert_matches_dense(scn, model, values)
+        assert "objective_pin_o2" in {v.name for v in rep.violations}
+        assert_matches_dense(scn, model.copy(), values)
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_a_replaced_shared_record_is_caught(self, kind):
+        scn = differential_scenario("path6-41")
+        model = BUILDS[kind](scn)
+        values = as_assignment(oracle_answer("path6-41", False), scn, kind)
+        assert assert_matches_dense(scn, model, values).ok  # the shared index is built
+        other = model.copy()
+        con = next(c for c in model.constraints.values()
+                   if c.sense == "<=" and c.rhs == 0.0 and all(not values.get(v) for _, v in c.lin)
+                   and not c.products)
+        other.constraints[con.name] = con._replace(rhs=-1.0)
+        rep = assert_matches_dense(scn, other, values)
+        assert [(v.name, v.amount) for v in rep.violations] == [(con.name, 1.0)]
+        # the original still reads its own rows
+        assert assert_matches_dense(scn, model, values).ok
+
+    def test_index_is_built_once_per_compiled_model(self, monkeypatch, path6):
+        builds = []
+        real = optmodel._build_row_index
+
+        def spy(records):
+            builds.append(len(records))
+            return real(records)
+
+        monkeypatch.setattr(optmodel, "_build_row_index", spy)
+        monkeypatch.setattr(exact, "_compiled", None)
+        scenarios = [permutation_scenario(path6, perm, topology_name="path6")
+                     for perm in range(20)]
+        build_miqcp(scenarios[0])
+        assert builds == []  # building alone builds no index
+        for scn in scenarios:
+            for fixed in (False, True):
+                res = solve_exhaustive(scn, fixed)
+                validate(scn, build_miqcp(scn, fixed), as_assignment(res, scn, "miqcp"))
+        assert len(builds) == 1
+        monkeypatch.setattr(exact, "_compiled", None)
+        scn = scenarios[0]
+        model = build_miqcp(scn)
+        assert len(builds) == 1
+        validate(scn, model, as_assignment(solve_exhaustive(scn), scn, "miqcp"))
+        assert len(builds) == 2
+        assert builds[1] == builds[0] < len(model.constraints)

@@ -18,8 +18,8 @@ The result goes to ``BENCH_<pr>.json`` at the root of this repository and is
 rewritten after every pair, so an interrupted session keeps what it ran.
 It names both commits and the git tree ids of their ``src/`` and benchmark
 directories.  Under ``fingerprint`` it holds each side's section lines
-(``oracle``, ``search``, ``validation``, ``models``: item count and sha256)
-and whether the two item files are byte-identical.  Per workload and metric
+(``oracle``, ``search``, ``validation``, ``violations``, ``models``: item
+count and sha256) and whether the two item files are byte-identical.  Per workload and metric
 it holds each side's runs, median and quartiles, the pairs the change won
 (ties count for neither side) and the relative change of the median, signed
 so that positive is better.  A run that errored, came back incorrect or had
@@ -45,7 +45,7 @@ SIDES = ("parent", "change")
 SEED = 3001
 PAIRS = 10  # the fewest that can show a 9-of-10 win
 TRACED_PAIRS = 2
-FINGERPRINT_SECTIONS = ("oracle", "search", "validation", "models")
+FINGERPRINT_SECTIONS = ("oracle", "search", "validation", "violations", "models")
 
 
 def parse_args(argv):

@@ -21,6 +21,13 @@ digests mean equal results, bit for bit.  Sections:
   values and, from ``validate``, ``ok``, every violation's name, family and
   amount, ``max_exact_lateness``, ``model_objective`` and
   ``approximation_error``.
+* ``violations``: path6 permutations 0-9, oracle in joint and fixed mode,
+  each assignment in both formulations, perturbed three times with seeded
+  random values: a few live variables zeroed and a few variables set to a
+  random number, 0.0, -0.0, NaN or an infinity.  From ``validate``: every
+  violation's name, family and amount, the exact lateness per request and
+  the warnings.  This checks the rows and embeddings of solutions that are
+  not clean, which the ``validation`` section does not reach.
 * ``models``: the sha256 of each model file the ``solve-replay`` benchmark
   workload emits and checks against ``perfbench/expected.json``, path6
   permutation 0 with default options: ``perm0-milp-lp``, ``perm0-milp-mps``
@@ -34,6 +41,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import random
 import sys
 
 from nfvlight import (
@@ -126,6 +135,43 @@ def validation_section():
             yield lines[(scn.name, mode, "milp")]
 
 
+ODD_VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf)
+
+
+def perturbed(values: dict[str, float], names: list[str], rng: random.Random) -> dict[str, float]:
+    """``values`` with up to three live variables zeroed and eight of ``names`` reset."""
+    out = dict(values)
+    live = [name for name, v in values.items() if v]
+    for name in rng.sample(live, min(3, len(live))):
+        out[name] = 0.0
+    for name in rng.sample(names, 8):
+        out[name] = rng.choice(ODD_VALUES) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+    return out
+
+
+def violations_section():
+    """One line per formulation, permutation, mode and perturbation, in that order."""
+    sub = builtin_topology("path6")
+    modes = ("joint", "fixed")
+    scenarios = [permutation_scenario(sub, perm, topology_name="path6") for perm in range(10)]
+    results = [
+        {mode: solve_exhaustive(scn, mode == "fixed") for mode in modes} for scn in scenarios
+    ]
+    for kind, build in (("miqcp", build_miqcp), ("milp", build_milp)):
+        for scn, res in zip(scenarios, results):
+            for mode in modes:
+                model = build(scn, mode == "fixed")
+                values = as_assignment(res[mode], scn, kind)
+                for k in range(3):
+                    rng = random.Random(f"{scn.name}-{mode}-{kind}-{k}")
+                    rep = validate(scn, model, perturbed(values, list(model.variables), rng))
+                    yield line(
+                        scn.name, mode, kind, k,
+                        [(v.name, v.family, v.amount) for v in rep.violations],
+                        rep.exact_lateness, rep.warnings,
+                    )
+
+
 def models_section():
     scn = permutation_scenario(builtin_topology("path6"), 0, topology_name="path6")
     for case, build, emit in (
@@ -140,7 +186,7 @@ def main() -> int:
     oracle, search = oracle_sections()
     for section, items in (
         ("oracle", oracle), ("search", search), ("validation", validation_section()),
-        ("models", models_section()),
+        ("violations", violations_section()), ("models", models_section()),
     ):
         h = hashlib.sha256()
         n = 0
