@@ -183,23 +183,27 @@ def _check_name(what: str, name: str) -> None:
 class _RowIndex(NamedTuple):
     """A column index over a model's leading rows (CSC-style).
 
-    ``columns`` maps each variable to the positions in ``records`` of the
-    rows that hold it in ``lin`` or as the first factor ``a`` of a product;
-    ``broken_at_zero`` holds the positions of the rows that a left-hand side
-    of 0.0 breaks.
+    ``broken_at_zero`` holds the positions in ``records`` of the rows that a
+    left-hand side of 0.0 breaks, which are always read.  ``columns`` maps
+    each variable to the positions of the other rows that hold it in ``lin``
+    or as the first factor ``a`` of a product.
     """
 
     records: tuple[Constraint, ...]
-    columns: dict[str, list[int]]
+    columns: dict[str, tuple[int, ...]]
     broken_at_zero: tuple[int, ...]
 
 
 def _build_row_index(records: tuple[Constraint, ...]) -> _RowIndex:
     """The column index over ``records``, one pass over their terms."""
-    columns: dict[str, list[int]] = {}
+    columns: dict = {}
     get = columns.get
     broken = []
     for pos, con in enumerate(records):
+        sense, rhs = con.sense, con.rhs
+        if rhs < 0.0 if sense == "<=" else rhs > 0.0 if sense == ">=" else rhs != 0.0:
+            broken.append(pos)  # always read, so its terms need no entries
+            continue
         for _, name in con.lin:  # merged, so each name once
             col = get(name)
             if col is None:
@@ -212,9 +216,8 @@ def _build_row_index(records: tuple[Constraint, ...]) -> _RowIndex:
                 columns[name] = [pos]
             elif col[-1] != pos:  # positions come in order, so a repeat is the last one
                 col.append(pos)
-        sense, rhs = con.sense, con.rhs
-        if rhs < 0.0 if sense == "<=" else rhs > 0.0 if sense == ">=" else rhs != 0.0:
-            broken.append(pos)
+    for name, col in columns.items():
+        columns[name] = tuple(col)  # no spare slots; each list is freed as it is replaced
     return _RowIndex(records, columns, tuple(broken))
 
 
