@@ -8,10 +8,11 @@ piecewise-linear formulation the gap between the model's lateness and the
 exact lateness is the realized approximation error.
 
 Both steps cost about as much as the solution has values other than 0.0.
-``validate`` evaluates only the rows that ``Model.rows_to_check`` gives;
-every other row reads only zeros and holds.  ``build_embedding_view``
-reads only the values other than 0.0, through tables of the names of one
-topology, formatted once per process.
+``validate`` keeps only those values, evaluates only the rows that
+``Model.rows_to_check`` gives and checks only the bounds of the variables
+that ``Model.vars_to_check`` gives; every other row and bound holds at 0.0.
+``build_embedding_view`` reads only the values other than 0.0, through
+tables of the names of one topology, formatted once per process.
 """
 from __future__ import annotations
 
@@ -314,9 +315,14 @@ def validate(
 ) -> ValidationReport:
     """Re-check the model at the assignment and re-time it with exact delays.
 
-    Rows come from ``model.rows_to_check``, which leaves out only rows that
-    hold at these values, so the violations, their order and their amounts
-    are those of a pass over every row.
+    Only the assignment's values other than 0.0 (NaN counts) that name
+    model variables are kept; every reader takes a missing one as 0.0.
+    Rows come from ``model.rows_to_check`` and bounds from
+    ``model.vars_to_check``, which leave out only entries that hold at these
+    values, so the violations, their order and their amounts are those of a
+    pass over every row and variable.  A model's copies share the indexes
+    behind both, built the second time they are asked for, so a model
+    validated once pays for none.
     The report is ``ok`` when no row, bound or SOS2 set is violated; the
     re-timing checks every active embedding tuple of any solution.  A NaN
     or infinite value is a ``non_finite`` violation, so it is never ``ok``.
@@ -327,15 +333,17 @@ def validate(
         raw, parse_warnings = assignment.values, assignment.warnings
     else:
         raw, parse_warnings = dict(assignment), []
-    values = {name: raw.get(name, 0.0) for name in model.variables}
+    variables = model.variables
+    values = {name: val for name, val in raw.items() if val != 0.0 and name in variables}
+    get = values.get
 
     violations: list[Violation] = []
     for con in model.rows_to_check(values):
         amt = constraint_violation(con, values)
         if amt > _TOL:
             violations.append(Violation(con.name, con.family, amt))
-    for var in model.variables.values():
-        val = values[var.name]
+    for var in model.vars_to_check(values):
+        val = get(var.name, 0.0)
         if not math.isfinite(val):
             # nothing computed from this value can be trusted, whatever it gives
             violations.append(Violation(var.name, "non_finite", math.inf))
@@ -344,7 +352,7 @@ def validate(
         if gap > _TOL:
             violations.append(Violation(var.name, "variable_bounds", gap))
     for sos in model.sos2.values():
-        live = [i for i, name in enumerate(sos.members) if abs(values[name]) > _TOL]
+        live = [i for i, name in enumerate(sos.members) if abs(get(name, 0.0)) > _TOL]
         if len(live) > 2 or (len(live) == 2 and live[1] - live[0] != 1):
             violations.append(Violation(sos.name, "sos2_adjacency", float(len(live))))
 
@@ -352,9 +360,11 @@ def validate(
     exact = request_lateness(view, scn)
     unstable = any(math.isinf(v) for v in exact.values())
 
-    model_lateness = {
-        ri: values.get(naming.x_name(3, ri), 0.0) for ri in range(len(scn.requests))
-    }
+    def reported(name: str) -> float:
+        # as the assignment gives it, so that a reported -0.0 keeps its sign
+        return raw.get(name, 0.0) if name in variables else 0.0
+
+    model_lateness = {ri: reported(naming.x_name(3, ri)) for ri in range(len(scn.requests))}
     per_err: dict[int, float | None] = {}
     worst_err: float | None = None
     for ri in exact:
@@ -372,7 +382,7 @@ def validate(
         exact_lateness=exact,
         max_exact_lateness=max(exact.values(), default=0.0),
         model_lateness=model_lateness,
-        model_max_lateness=values.get(naming.x_name(4), 0.0),
+        model_max_lateness=reported(naming.x_name(4)),
         per_request_error=per_err,
         approximation_error=worst_err,
         unstable=unstable,

@@ -14,17 +14,18 @@ all capacity permutations of one topology share one compiled MIQCP; the
 MILP's queue partitions read the capacities, so its key holds them.  Every
 call, a hit or a miss, returns a ``Model.copy`` of the compiled model with
 the scenario's own rows added and the scenario's name; a fixed-topology
-model is such a copy with its lightpath variables fixed.  The process holds
-one compiled model: a miss drops it before compiling the next.  The kept
-model stays valid because a ``Scenario`` is immutable after construction.
+model copies a kept copy whose lightpaths are fixed.  The process holds one
+compiled model: a miss drops it before compiling the next.  The kept model
+stays valid because a ``Scenario`` is immutable after construction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from . import naming
-from .optmodel import Model, ModelError
+from .optmodel import Model, ModelError, _merge_lin
 from .scenario import Scenario, propagate_rate_bounds
 
 
@@ -323,48 +324,50 @@ def add_flow_part(m: Model, scn: Scenario, *, prune_pinned_tuples: bool = False)
     return ctx
 
 
+@functools.lru_cache(maxsize=64)
+def _split_terms(
+    vertices: tuple[str, ...], ri: int, arcs: tuple[tuple[str, str], ...], v: str,
+    share: str, source: bool,
+) -> tuple[tuple[float, str], ...]:
+    """The merged terms of one ``source_split`` or ``dest_split`` row.
+
+    ``share`` is the proportion by ``float.hex``, so that keys equal by
+    ``==`` but not in sign, such as 0.0 and -0.0, stay apart.
+    """
+    V, lam, prop = vertices, naming.lam_name, float.fromhex(share)
+    terms: list[tuple[float, str]] = []
+    for a in arcs:
+        if source:  # traffic leaving a source splits over vertices by configured share
+            for v2, vp, wp in itertools.product(V, repeat=3):
+                terms.append((prop, lam(ri, a, v2, vp, v2, wp)))
+            for vp, wp in itertools.product(V, repeat=2):
+                terms.append((-1.0, lam(ri, a, v, vp, v, wp)))
+        else:  # traffic reaching a destination splits over vertices by share
+            for v2, vp, w in itertools.product(V, repeat=3):
+                terms.append((prop, lam(ri, a, v2, vp, w, vp)))
+            for v2, w in itertools.product(V, repeat=2):
+                terms.append((-1.0, lam(ri, a, v2, v, w, v)))
+    return _merge_lin(terms)
+
+
 def add_scenario_rows(m: Model, scn: Scenario) -> None:
     """Add the rows that read a scenario's restrictions and capacities.
 
     These are the rows that differ between the capacity permutations of one
     topology, so ``compiled_copy`` adds them to each copy of a compiled model.
+    The split rows' merged terms come from ``_split_terms``, kept per
+    topology by every value they read; ``add_con`` still checks each row.
     """
     V = scn.substrate.vertices
-    lam = naming.lam_name
     for ri, req in enumerate(scn.requests):
         g = req.graph
-
-        # traffic leaving a source splits over vertices by configured share
-        for (n, v, prop) in req.source_restrictions:
-            terms: list[tuple[float, str]] = []
-            for a in g.out_arcs(n):
-                for v2, vp, wp in itertools.product(V, repeat=3):
-                    terms.append((prop, lam(ri, a, v2, vp, v2, wp)))
-                for vp, wp in itertools.product(V, repeat=2):
-                    terms.append((-1.0, lam(ri, a, v, vp, v, wp)))
-            m.add_con(
-                f"source_split_r{ri}_{naming.node_token(n)}_{v}",
-                "source_split",
-                terms,
-                "=",
-                0.0,
-            )
-
-        # traffic reaching a destination splits over vertices by share
-        for (n, v, prop) in req.dest_restrictions:
-            terms = []
-            for a in g.in_arcs(n):
-                for v2, vp, w in itertools.product(V, repeat=3):
-                    terms.append((prop, lam(ri, a, v2, vp, w, vp)))
-                for v2, w in itertools.product(V, repeat=2):
-                    terms.append((-1.0, lam(ri, a, v2, v, w, v)))
-            m.add_con(
-                f"dest_split_r{ri}_{naming.node_token(n)}_{v}",
-                "dest_split",
-                terms,
-                "=",
-                0.0,
-            )
+        for source, family, restrictions, arcs_of in (
+            (True, "source_split", req.source_restrictions, g.out_arcs),
+            (False, "dest_split", req.dest_restrictions, g.in_arcs),
+        ):
+            for (n, v, prop) in restrictions:
+                terms = _split_terms(V, ri, arcs_of(n), v, float(prop).hex(), source)
+                m.add_con(f"{family}_r{ri}_{naming.node_token(n)}_{v}", family, terms, "=", 0.0)
 
     # placed functions share each vertex's processing capacity
     for v in V:
@@ -467,7 +470,7 @@ def apply_objective(
     m.set_objective(terms, "min")
 
 
-# The one compiled model: (key, model, {l name: its fixed-topology record}).  The
+# The one compiled model: (key, model, its copy with the lightpaths fixed).  The
 # tuple is swapped whole and read once per call, so a race between threads can
 # cost a second build but never hands out a model compiled for another key.
 _compiled: tuple | None = None
@@ -502,9 +505,11 @@ def compiled_copy(scn: Scenario, fixed_topology: bool, prune_pinned_tuples: bool
 
     ``compile_model`` returns the model without ``add_scenario_rows``' rows
     and the value of every lightpath variable under the fixed topology.  The
-    compiled model is kept for the next call whose ``_compile_key`` is equal.
-    Every call, hit or miss, copies it, adds the scenario rows, names the
-    copy after ``scn`` and, for a fixed-topology copy, fixes the lightpaths.
+    compiled model is kept for the next call whose ``_compile_key`` is equal,
+    with a copy of it whose lightpaths are fixed.  Every call, hit or miss,
+    copies one of the two, adds the scenario rows and names the copy after
+    ``scn``.  So the copies of both modes share one row index, and those of
+    each mode one variable index.
     """
     global _compiled
     key = _compile_key(scn, compile_model, prune_pinned_tuples, reads_capacity)
@@ -515,12 +520,10 @@ def compiled_copy(scn: Scenario, fixed_topology: bool, prune_pinned_tuples: bool
         lit = compiled.copy()
         for name, value in fixings.items():
             lit.fix_var(name, value)
-        entry = _compiled = (key, compiled, {name: lit.variables[name] for name in fixings})
-    model = entry[1].copy()
+        entry = _compiled = (key, compiled, lit)
+    model = entry[2 if fixed_topology else 1].copy()
     add_scenario_rows(model, scn)
     model.name = f"{scn.name}-{model.kind}"
-    if fixed_topology:
-        model.variables.update(entry[2])
     return model
 
 

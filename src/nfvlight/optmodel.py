@@ -22,15 +22,17 @@ objective of the same model and pins each solved part with an equality row.
 tuples and objective parts, which are immutable; changing the copy leaves
 the original as it was.
 ``Model.rows_to_check`` gives the rows that an assignment can break, through
-a column index from each variable to the rows that read it.  The index is
-built the first time it is asked for and is shared by a model's copies, so
-validating many copies of one compiled model costs one build.
+a column index from each variable to the rows that read it, and
+``Model.vars_to_check`` the variables whose bounds it can break.  Each index
+is shared by a model's copies and built the second time the group asks for
+it: a model checked once pays for no index, and validating many copies of
+one compiled model costs one build.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import is_, itemgetter
 from typing import NamedTuple
 
@@ -221,18 +223,42 @@ def _build_row_index(records: tuple[Constraint, ...]) -> _RowIndex:
     return _RowIndex(records, columns, tuple(broken))
 
 
-class _SharedIndex:
-    """The row index of a model and its copies, and how many rows it may cover.
+class _VarIndex(NamedTuple):
+    """A position index over a model's leading variables.
 
-    ``limit`` is the number of leading rows that every model sharing this
-    holds in common (``None`` before the first copy: all of them).
+    ``positions`` maps each variable to its position in ``records``;
+    ``zero_breaking`` holds the positions of the variables whose bounds
+    exclude 0.0, which are always read.
     """
 
-    __slots__ = ("index", "limit")
+    records: tuple[Variable, ...]
+    positions: dict[str, int]
+    zero_breaking: tuple[int, ...]
+
+
+def _build_var_index(records: tuple[Variable, ...]) -> _VarIndex:
+    return _VarIndex(
+        records,
+        {var.name: pos for pos, var in enumerate(records)},
+        tuple(pos for pos, var in enumerate(records)
+              if var.lb > 0.0 or (var.ub is not None and var.ub < 0.0)),
+    )
+
+
+class _SharedIndex:
+    """The index of one table of a model and its copies, and how much it may cover.
+
+    ``limit`` is the number of leading entries that every model sharing this
+    holds in common (``None`` before the first copy: all of them).
+    ``asked`` records the group's first ask, which builds nothing.
+    """
+
+    __slots__ = ("index", "limit", "asked")
 
     def __init__(self):
-        self.index: _RowIndex | None = None
+        self.index = None
         self.limit: int | None = None
+        self.asked = False
 
 
 class Model:
@@ -250,7 +276,8 @@ class Model:
         self.objective_parts: dict[int, tuple[tuple[tuple[float, str], ...], str]] = {}
         # id -> checked product terms tuple, held so that the id stays unique
         self._checked_terms: dict[int, tuple] = {}
-        self._shared = _SharedIndex()
+        self._shared_rows = _SharedIndex()
+        self._shared_vars = _SharedIndex()
 
     def copy(self) -> Model:
         """A model with the same content in new tables, cheap to change alone.
@@ -258,14 +285,16 @@ class Model:
         The tables are new dicts over the same immutable records and term
         tuples, so ``add_*``, ``fix_var`` and ``set_objective`` on either
         model leave the other as it was.  The two models share the row index
-        of ``rows_to_check``, over the rows both hold now; rows either model
-        adds later are outside it.
+        of ``rows_to_check`` and the variable index of ``vars_to_check``,
+        each over the entries both hold now; entries either model adds later
+        are outside them.
         """
-        shared = self._shared
-        if shared.limit is None or len(self.constraints) < shared.limit:
-            shared.limit = len(self.constraints)
+        for shared, table in ((self._shared_rows, self.constraints),
+                              (self._shared_vars, self.variables)):
+            if shared.limit is None or len(table) < shared.limit:
+                shared.limit = len(table)
         other = Model(self.kind, self.name)
-        other._shared = shared
+        other._shared_rows, other._shared_vars = self._shared_rows, self._shared_vars
         other.variables = dict(self.variables)
         other.constraints = dict(self.constraints)
         other.sos2 = dict(self.sos2)
@@ -282,9 +311,11 @@ class Model:
         rows that a left-hand side of 0.0 breaks; and every row outside the
         index.  Every other row reads only zeros and products that
         ``constraint_lhs`` skips, so its left-hand side is exactly 0.0 and
-        it holds.
+        it holds.  Before the index is built, every row.
         """
-        index = self._row_index()
+        index = self._index("_shared_rows", self.constraints, _build_row_index)
+        if index is None:
+            return list(self.constraints.values())
         hit = set(index.broken_at_zero)
         for rows in filter(None, map(index.columns.get, compress(values, values.values()))):
             hit.update(rows)
@@ -293,21 +324,41 @@ class Model:
         checked += islice(self.constraints.values(), len(records), None)
         return checked
 
-    def _row_index(self) -> _RowIndex:
-        shared = self._shared
+    def vars_to_check(self, values: dict[str, float]) -> list[Variable]:
+        """The variables whose bounds ``values`` can break, in table order.
+
+        These are the indexed variables whose value is not exactly 0.0 (NaN
+        counts), those whose bounds exclude 0.0, and every variable outside
+        the index.  Every other variable is at 0.0 within its bounds.
+        Before the index is built, every variable.
+        """
+        index = self._index("_shared_vars", self.variables, _build_var_index)
+        if index is None:
+            return list(self.variables.values())
+        hit = set(index.zero_breaking)
+        hit.update(map(index.positions.get, compress(values, values.values())))
+        hit.discard(None)  # a name outside the index
+        records = index.records
+        checked = [records[pos] for pos in sorted(hit)]
+        checked += islice(self.variables.values(), len(records), None)
+        return checked
+
+    def _index(self, attr: str, table: dict, build):
+        """The index over ``table`` that ``attr`` shares; None on the group's first ask."""
+        shared = getattr(self, attr)
         index = shared.index
         if index is not None:
-            rows = index.records
-            # the records are immutable, so the same objects are the same rows
-            if len(self.constraints) >= len(rows) and all(
-                map(is_, self.constraints.values(), rows)
-            ):
+            records = index.records
+            # the records are immutable, so the same objects are the same entries
+            if len(table) >= len(records) and all(map(is_, table.values(), records)):
                 return index
-            # a row the index was built from is not here: this model leaves the group
-            shared = self._shared = _SharedIndex()
-        index = shared.index = _build_row_index(
-            tuple(islice(self.constraints.values(), shared.limit))
-        )
+            # an entry the index was built from is not here: this model leaves the group
+            shared = _SharedIndex()
+            setattr(self, attr, shared)
+        if not shared.asked:
+            shared.asked = True
+            return None
+        index = shared.index = build(tuple(islice(table.values(), shared.limit)))
         return index
 
     # -- construction -------------------------------------------------------
@@ -347,6 +398,8 @@ class Model:
         except OverflowError:
             raise ModelError(f"cannot fix {name} at a value beyond the float range") from None
         self.variables[name] = self.variables[name]._replace(lb=value, ub=value)
+        # the record is new, so this model leaves its variable index group
+        self._shared_vars = _SharedIndex()
 
     def add_con(
         self,
@@ -457,14 +510,15 @@ def constraint_lhs(con: Constraint, values: dict[str, float]) -> float:
     lhs = 0.0
     for coef, v in con.lin:
         lhs += coef * get(v, 0.0)
-    for a, terms in con.products:
-        x = get(a, 0.0)
-        if x == 0.0:
-            # exact for finite partners: each term is a signed zero, and adding
-            # one changes no sum that starts at 0.0
-            continue
-        for coef, b in terms:
-            lhs += coef * x * get(b, 0.0)
+    products = con.products
+    if products:
+        # only products whose a is not 0.0 (NaN counts): exact for finite
+        # partners, since each skipped term is a signed zero, and adding one
+        # changes no sum that starts at 0.0
+        for a, terms in compress(products, map(get, map(itemgetter(0), products), repeat(0.0))):
+            x = get(a)
+            for coef, b in terms:
+                lhs += coef * x * get(b, 0.0)
     return lhs
 
 

@@ -619,28 +619,110 @@ class TestSparseValidation:
         assert assert_matches_dense(scn, model, values).ok
 
     def test_index_is_built_once_per_compiled_model(self, monkeypatch, path6):
-        builds = []
-        real = optmodel._build_row_index
+        builds, var_builds = [], []
+        for name, out in (("_build_row_index", builds), ("_build_var_index", var_builds)):
+            real = getattr(optmodel, name)
 
-        def spy(records):
-            builds.append(len(records))
-            return real(records)
+            def spy(records, real=real, out=out):
+                out.append(len(records))
+                return real(records)
 
-        monkeypatch.setattr(optmodel, "_build_row_index", spy)
+            monkeypatch.setattr(optmodel, name, spy)
         monkeypatch.setattr(exact, "_compiled", None)
         scenarios = [permutation_scenario(path6, perm, topology_name="path6")
                      for perm in range(20)]
         build_miqcp(scenarios[0])
-        assert builds == []  # building alone builds no index
+        assert builds == [] and var_builds == []  # building alone builds no index
         for scn in scenarios:
             for fixed in (False, True):
                 res = solve_exhaustive(scn, fixed)
                 validate(scn, build_miqcp(scn, fixed), as_assignment(res, scn, "miqcp"))
         assert len(builds) == 1
+        assert len(var_builds) == 2  # one per mode
         monkeypatch.setattr(exact, "_compiled", None)
         scn = scenarios[0]
         model = build_miqcp(scn)
         assert len(builds) == 1
-        validate(scn, model, as_assignment(solve_exhaustive(scn), scn, "miqcp"))
-        assert len(builds) == 2
+        values = as_assignment(solve_exhaustive(scn), scn, "miqcp")
+        validate(scn, model, values)
+        assert len(builds) == 1  # a model validated once pays for no index
+        validate(scn, model, values)
+        assert len(builds) == 2 and len(var_builds) == 3
         assert builds[1] == builds[0] < len(model.constraints)
+
+    @staticmethod
+    def indexed(scn, model, values):
+        """``model`` after two validations, so that its group has built both indexes."""
+        for _ in range(2):
+            assert_matches_dense(scn, model, values)
+        assert model._shared_rows.index is not None and model._shared_vars.index is not None
+        return model
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_a_zeroed_lit_lightpath_breaks_its_bound(self, kind):
+        scn = differential_scenario("path6-41")
+        model = BUILDS[kind](scn, True)
+        values = as_assignment(oracle_answer("path6-41", True), scn, kind)
+        self.indexed(scn, model, values)
+        lit = [name for name, var in model.variables.items() if var.lb == 1.0 and values.get(name)]
+        assert lit
+        zeroed = dict(values)
+        zeroed[lit[0]] = 0.0  # 0.0 now breaks lb = 1 of a variable that is not live
+        rep = assert_matches_dense(scn, model, zeroed)
+        assert (lit[0], "variable_bounds", 1.0) in {(v.name, v.family, v.amount)
+                                                   for v in rep.violations}
+        # a variable missing from the assignment is 0.0 as well
+        rep = assert_matches_dense(scn, model, {k: v for k, v in values.items() if k != lit[0]})
+        assert lit[0] in {v.name for v in rep.violations}
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_a_replaced_variable_record_is_caught(self, kind):
+        scn = differential_scenario("path6-41")
+        model = BUILDS[kind](scn)
+        values = as_assignment(oracle_answer("path6-41", False), scn, kind)
+        self.indexed(scn, model, values)
+        other = model.copy()
+        var = next(v for v in model.variables.values() if v.lb == 0.0 and not values.get(v.name))
+        other.variables[var.name] = var._replace(lb=2.0, ub=3.0)
+        rep = assert_matches_dense(scn, other, values)
+        assert [(v.name, v.family, v.amount) for v in rep.violations] == [
+            (var.name, "variable_bounds", 2.0)
+        ]
+        assert assert_matches_dense(scn, model, values).ok  # the original reads its own
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_a_variable_added_after_the_index_was_built(self, kind):
+        scn = differential_scenario("path6-41")
+        model = BUILDS[kind](scn)
+        values = as_assignment(oracle_answer("path6-41", False), scn, kind)
+        self.indexed(scn, model, values)
+        other = model.copy()
+        other.add_var("extra_lb", "eta", lb=0.5)  # 0.0 breaks it
+        other.add_var("extra_ub", "eta", ub=1.0)
+        rep = assert_matches_dense(scn, other, values)
+        assert [(v.name, v.amount) for v in rep.violations] == [("extra_lb", 0.5)]
+        rep = assert_matches_dense(scn, other, {**values, "extra_ub": 4.0})
+        assert [(v.name, v.amount) for v in rep.violations] == [("extra_lb", 0.5), ("extra_ub", 3.0)]
+        model.add_var("extra_lb", "eta", lb=0.25)  # the original, after it was copied
+        rep = assert_matches_dense(scn, model, values)
+        assert [(v.name, v.amount) for v in rep.violations] == [("extra_lb", 0.25)]
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    @pytest.mark.parametrize("odd", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_where_zero_breaks_the_bound(self, kind, odd):
+        scn = differential_scenario("path6-41")
+        model = BUILDS[kind](scn, True)
+        values = as_assignment(oracle_answer("path6-41", True), scn, kind)
+        self.indexed(scn, model, values)
+        names = [name for name, var in model.variables.items() if var.lb > 0.0]
+        for name in (names[0], names[-1]):
+            rep = assert_matches_dense(scn, model, {**values, name: odd})
+            assert (name, "non_finite") in {(v.name, v.family) for v in rep.violations}
+
+    def test_a_reported_lateness_keeps_its_sign(self):
+        scn = differential_scenario("tiny")
+        model = build_miqcp(scn)
+        values = {**as_assignment(oracle_answer("tiny", False), scn, "miqcp"),
+                  naming.x_name(3, 0): -0.0, naming.x_name(4): -0.0}
+        rep = validate(scn, model, values)
+        assert rep.model_lateness[0].hex() == rep.model_max_lateness.hex() == "-0x0.0p+0"

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 import random
 import sys
 import weakref
@@ -10,7 +11,7 @@ import weakref
 import pytest
 
 from conftest import random_chain_scenario
-from nfvlight import approx, build_milp, build_miqcp, emit_lp, exact, permutation_scenario
+from nfvlight import approx, build_milp, build_miqcp, emit_lp, exact, naming, permutation_scenario
 from nfvlight.exact import compute_bigM
 from nfvlight.optmodel import model_stats
 from nfvlight.scenario import QueueApprox
@@ -460,3 +461,65 @@ def test_every_hit_equals_a_fresh_compile(path6, compiles, kind, prune, perms, h
         assert fixed.constraints == joint.constraints and ref_fixed.constraints == ref.constraints
         same(fixed, ref_fixed, ("variables", "sos2"))
     assert seen == hits
+
+
+def reference_scenario_rows(m, scn):
+    """The reference: ``add_scenario_rows`` expanding and merging every row anew."""
+    V = scn.substrate.vertices
+    lam = naming.lam_name
+    for ri, req in enumerate(scn.requests):
+        g = req.graph
+        for (n, v, prop) in req.source_restrictions:
+            terms = []
+            for a in g.out_arcs(n):
+                for v2, vp, wp in itertools.product(V, repeat=3):
+                    terms.append((prop, lam(ri, a, v2, vp, v2, wp)))
+                for vp, wp in itertools.product(V, repeat=2):
+                    terms.append((-1.0, lam(ri, a, v, vp, v, wp)))
+            m.add_con(f"source_split_r{ri}_{naming.node_token(n)}_{v}", "source_split",
+                      terms, "=", 0.0)
+        for (n, v, prop) in req.dest_restrictions:
+            terms = []
+            for a in g.in_arcs(n):
+                for v2, vp, w in itertools.product(V, repeat=3):
+                    terms.append((prop, lam(ri, a, v2, vp, w, vp)))
+                for v2, w in itertools.product(V, repeat=2):
+                    terms.append((-1.0, lam(ri, a, v2, v, w, v)))
+            m.add_con(f"dest_split_r{ri}_{naming.node_token(n)}_{v}", "dest_split",
+                      terms, "=", 0.0)
+    for v in V:
+        terms = []
+        for ri, req in enumerate(scn.requests):
+            g = req.graph
+            for n in g.functional:
+                terms.append((g.node_alpha(n), naming.mu_name(ri, n, v)))
+                beta = g.node_beta(n)
+                if beta:
+                    terms.append((beta, naming.y_name(ri, n, v)))
+        if terms:
+            m.add_con(f"vertex_capacity_{v}", "vertex_capacity", terms, "<=", scn.substrate.cap(v))
+
+
+def scenario_records(model):
+    """The scenario rows of ``model`` in order, every float by ``float.hex``."""
+    return [
+        (c.name, c.family, [(coef.hex(), v) for coef, v in c.lin], c.sense, float(c.rhs).hex(),
+         c.products)
+        for c in model.constraints.values()
+        if c.family in ("source_split", "dest_split", "vertex_capacity")
+    ]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["miqcp", "milp"])
+def test_scenario_rows_equal_the_expansion_of_every_row(path6, kind):
+    # the MILP compiles once per capacity assignment, 30 times in all
+    exact._compiled = None
+    build = BUILDERS[kind]
+    for perm in range(120):
+        scn = permutation_scenario(path6, perm, topology_name="path6")
+        for fixed in (False, True):
+            model = build(scn, fixed)
+            ref = exact._compiled[1].copy()
+            reference_scenario_rows(ref, scn)
+            assert scenario_records(model) == scenario_records(ref) != [], (perm, fixed)

@@ -22,18 +22,22 @@ digests mean equal results, bit for bit.  Sections:
   amount, ``max_exact_lateness``, ``model_objective`` and
   ``approximation_error``.
 * ``violations``: path6 permutations 0-9, oracle in joint and fixed mode,
-  each assignment in both formulations, perturbed three times with seeded
-  random values: a few live variables zeroed and a few variables set to a
-  random number, 0.0, -0.0, NaN or an infinity.  From ``validate``: every
+  each assignment in both formulations, perturbed four times.  The first
+  three use seeded random values: a few live variables zeroed and a few
+  variables set to a random number, 0.0, -0.0, NaN or an infinity.  The
+  fourth breaks bounds of both kinds: every live variable whose lower bound
+  is above 0 is zeroed, so 0.0 breaks it (the lit lightpaths of a
+  fixed-topology model; a joint model has none), and one seeded variable
+  with a lower bound of 0 is set to -1.0.  From ``validate``: every
   violation's name, family and amount, the exact lateness per request and
-  the warnings.  This checks the rows and embeddings of solutions that are
-  not clean, which the ``validation`` section does not reach.
+  the warnings.  This checks the rows, bounds and embeddings of solutions
+  that are not clean, which the ``validation`` section does not reach.
 * ``models``: the sha256 of each model file the ``solve-replay`` benchmark
   workload emits and checks against ``perfbench/expected.json``, path6
   permutation 0 with default options: ``perm0-milp-lp``, ``perm0-milp-mps``
   and ``perm0-miqcp-lp``.
 
-The run takes about 11 seconds on one core of a shared 2-vCPU host
+The run takes about 10-11 seconds on one core of a shared 2-vCPU host
 (Python 3.11), about 4 seconds of it for ``violations`` and 1 second for
 ``models``.
 """
@@ -150,6 +154,16 @@ def perturbed(values: dict[str, float], names: list[str], rng: random.Random) ->
     return out
 
 
+def bound_breaches(values: dict[str, float], model, rng: random.Random) -> dict[str, float]:
+    """``values`` with each live variable whose lb > 0 zeroed and one lb = 0 variable at -1.0."""
+    out = dict(values)
+    for name, v in values.items():
+        if v and model.variables[name].lb > 0.0:
+            out[name] = 0.0
+    out[rng.choice([name for name, var in model.variables.items() if var.lb == 0.0])] = -1.0
+    return out
+
+
 def violations_section():
     """One line per formulation, permutation, mode and perturbation, in that order."""
     sub = builtin_topology("path6")
@@ -163,9 +177,13 @@ def violations_section():
             for mode in modes:
                 model = build(scn, mode == "fixed")
                 values = as_assignment(res[mode], scn, kind)
-                for k in range(3):
+                for k in range(4):
                     rng = random.Random(f"{scn.name}-{mode}-{kind}-{k}")
-                    rep = validate(scn, model, perturbed(values, list(model.variables), rng))
+                    if k < 3:
+                        wrong = perturbed(values, list(model.variables), rng)
+                    else:
+                        wrong = bound_breaches(values, model, rng)
+                    rep = validate(scn, model, wrong)
                     yield line(
                         scn.name, mode, kind, k,
                         [(v.name, v.family, v.amount) for v in rep.violations],
