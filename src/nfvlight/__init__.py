@@ -42,6 +42,7 @@ from .optmodel import (
     model_stats,
     objective_value,
     parse_solution,
+    write_model,
 )
 from .oracle import (
     OracleLimits,

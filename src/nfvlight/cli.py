@@ -22,10 +22,10 @@ from .exact import build_miqcp
 from .optmodel import (
     ModelError,
     SolutionError,
-    emit_model,
     model_stats,
     objective_value,
     parse_solution,
+    write_model,
 )
 from .oracle import (
     OracleLimits,
@@ -93,20 +93,6 @@ def _write_solution(path: str, values: dict[str, float], objective: float | None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_WRITE_SLICE = 1 << 20  # characters per write of a model file
-
-
-def _write_model(path, text: str) -> None:
-    """Write text as ``Path.write_text`` does, one slice at a time.
-
-    ``write_text`` encodes the whole text at once, a second full copy of a
-    model file in memory; a slice is encoded alone.
-    """
-    with open(path, "w") as fh:
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start:start + _WRITE_SLICE])
-
-
 def _adapter_command(template: str, model_path: str, solution_path: str) -> list[str]:
     if "{model}" not in template or "{solution}" not in template:
         raise SolutionError("solver adapter must mention {model} and {solution}")
@@ -117,7 +103,7 @@ def _run_adapter(model, template: str, timeout: float | None, fmt: str,
                  keep_model: str | None = None):
     with tempfile.TemporaryDirectory(prefix="nfvlight.") as td:
         model_path = keep_model or str(Path(td) / f"{model.name}.{fmt}")
-        _write_model(model_path, emit_model(model, fmt))
+        write_model(model, model_path, fmt)
         solution_path = str(Path(td) / "solution.txt")
         cmd = _adapter_command(template, model_path, solution_path)
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
@@ -171,7 +157,7 @@ def cmd_build(args) -> int:
     scn = _load_scenario(args.scenario)
     model = _build_model(scn, args.formulation, args.fixed_topology, args.prune_pinned_tuples)
     if args.out:
-        _write_model(args.out, emit_model(model, args.format))
+        write_model(model, args.out, args.format)
     if args.stats or not args.out:
         sys.stdout.write(json.dumps(model_stats(model), indent=2, sort_keys=True) + "\n")
     return 0

@@ -470,9 +470,10 @@ def apply_objective(
     m.set_objective(terms, "min")
 
 
-# The one compiled model: (key, model, its copy with the lightpaths fixed).  The
-# tuple is swapped whole and read once per call, so a race between threads can
-# cost a second build but never hands out a model compiled for another key.
+# The one compiled model: (key, model, its lightpath fixings, its copy with the
+# lightpaths fixed or None until a fixed-topology call asks).  The tuple is
+# swapped whole and read once per call, so a race between threads can cost a
+# second build but never hands out a model compiled for another key.
 _compiled: tuple | None = None
 
 
@@ -506,10 +507,11 @@ def compiled_copy(scn: Scenario, fixed_topology: bool, prune_pinned_tuples: bool
     ``compile_model`` returns the model without ``add_scenario_rows``' rows
     and the value of every lightpath variable under the fixed topology.  The
     compiled model is kept for the next call whose ``_compile_key`` is equal,
-    with a copy of it whose lightpaths are fixed.  Every call, hit or miss,
-    copies one of the two, adds the scenario rows and names the copy after
-    ``scn``.  So the copies of both modes share one row index, and those of
-    each mode one variable index.
+    and so, from the first fixed-topology call on, is a copy of it whose
+    lightpaths are fixed.  Every call, hit or miss, copies one of the two,
+    adds the scenario rows and names the copy after ``scn``.  So the copies
+    of both modes share one row index, and those of each mode one variable
+    index.
     """
     global _compiled
     key = _compile_key(scn, compile_model, prune_pinned_tuples, reads_capacity)
@@ -517,11 +519,13 @@ def compiled_copy(scn: Scenario, fixed_topology: bool, prune_pinned_tuples: bool
     if entry is None or entry[0] != key:
         entry = _compiled = None  # the old model goes before the new one is built
         compiled, fixings = compile_model(scn, prune_pinned_tuples)
-        lit = compiled.copy()
-        for name, value in fixings.items():
+        entry = _compiled = (key, compiled, fixings, None)
+    if fixed_topology and entry[3] is None:
+        lit = entry[1].copy()
+        for name, value in entry[2].items():
             lit.fix_var(name, value)
-        entry = _compiled = (key, compiled, lit)
-    model = entry[2 if fixed_topology else 1].copy()
+        entry = _compiled = (*entry[:3], lit)
+    model = entry[3 if fixed_topology else 1].copy()
     add_scenario_rows(model, scn)
     model.name = f"{scn.name}-{model.kind}"
     return model

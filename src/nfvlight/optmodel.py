@@ -12,8 +12,9 @@ In memory, a row's bilinear part is a tuple of products ``(a, terms)``, each
 meaning ``sum(coef * a * b for coef, b in terms)``.  Rows share ``terms``
 tuples, so a variable times a common linear expression costs one entry.
 Products keep the order the builder gave them; they are expanded, merged
-and sorted only when a canonical view is asked for, which LP emission does
-once per row.
+and sorted only when a canonical view is asked for.  LP emission writes that
+view once per row, one shared term tuple at a time where the row allows it.
+``write_model`` streams a model file to disk without holding its text.
 A builder may also record the parts of a weighted objective in
 ``Model.objective_parts``, each part's terms, a tuple, with the sense it is
 optimized in on its own.  A staged solve sets one part after another as the
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
-from operator import is_, itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import add, is_, itemgetter
 from typing import NamedTuple
 
 ROLE_TAGS = ("lam", "mu", "l", "x1", "x2", "x3", "x4", "y", "z", "eta", "theta", "xi")
@@ -571,73 +572,139 @@ class _SignedText(dict):
         return text
 
 
-def _lp_row(signed: _SignedText, lin, products) -> str:
+def _lp_block(signed: _SignedText, terms) -> tuple:
+    """A term tuple, its names in order and each name's ``"+ c b * "`` prefix.
+
+    The names and prefixes are None if the tuple is empty, repeats a name or
+    holds a zero coefficient: merging could then sum or drop its terms.
+    """
+    names = tuple(map(itemgetter(1), terms))
+    if not names or 0.0 in map(itemgetter(0), terms) or len(set(names)) < len(names):
+        return terms, None, None
+    ordered = sorted(terms, key=itemgetter(1))
+    return terms, tuple(map(itemgetter(1), ordered)), [signed[c] + b + " * " for c, b in ordered]
+
+
+def _block_text(signed: _SignedText, products, blocks: dict) -> str | None:
+    """The ``_product_sums`` text of ``products``, one shared term tuple at a time.
+
+    The products are grouped by term tuple, by identity, and ``blocks`` keeps
+    each tuple's ``_lp_block`` for the emission.  If every tuple has names,
+    every factor ``a`` sorts after its tuple's names, no group holds a factor
+    twice and no name lies in two groups, then each key is ``b * a`` and
+    occurs once, and its sum is its one coefficient.  The text is then, for
+    each ``b`` in name order, the terms of its group's factors in name order.
+    Any other row gives None.
+    """
+    groups: dict[int, tuple] = {}
+    for a, terms in products:
+        group = groups.get(id(terms))
+        if group is None:
+            block = blocks.get(id(terms))
+            if block is None:
+                # the block holds its tuple, so the id stays unique
+                block = blocks[id(terms)] = _lp_block(signed, terms)
+            if block[1] is None:
+                return None
+            group = groups[id(terms)] = (block[1], block[2], [])
+        group[2].append(a)
+    name_sets = [group[0] for group in groups.values()]
+    if len(name_sets) > 1 and len(set().union(*name_sets)) < sum(map(len, name_sets)):
+        return None
+    texts = []
+    for names, prefixes, factors in groups.values():
+        factors.sort()
+        if factors[0] <= names[-1] or len(set(factors)) < len(factors):
+            return None
+        # per name b, its "+ c b * a" terms for each factor a
+        terms = zip(*[map(add, prefixes, repeat(a)) for a in factors])
+        texts.append(zip(names, map(" ".join, terms)))
+    if len(texts) > 1:
+        texts = [sorted(chain.from_iterable(texts), key=itemgetter(0))]
+    return " ".join(map(itemgetter(1), texts[0]))
+
+
+def _lp_row(signed: _SignedText, lin, products, blocks: dict) -> str:
+    """The LP text of a row's left-hand side.
+
+    The linear terms, then the bilinear part ``+ [ ... ]``: the merged,
+    sorted ``a * b`` pairs of ``_product_sums``.  ``_block_text`` formats
+    that text one shared term tuple at a time where the row allows it, with
+    the same bytes; any other row is merged term by term.
+    """
     parts = [signed[c] + v for c, v in lin]
     if products:
-        pairs = _product_sums(products)
-        if pairs:
-            parts.append("+ [ " + " ".join([signed[c] + key for key, c in pairs]) + " ]")
+        text = _block_text(signed, products, blocks)
+        if text is None:
+            text = " ".join([signed[c] + key for key, c in _product_sums(products)])
+        if text:
+            parts.append("+ [ " + text + " ]")
     if not parts:
         return "0 "
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
 
-def emit_lp(model: Model) -> str:
-    num, signed = _NumText(), _SignedText()
-    out: list[str] = []
-    out.append("\\ " + model.name)
-    out.append("Minimize" if model.sense == "min" else "Maximize")
-    out.append(" obj: " + _lp_row(signed, model.objective, ()))
-    out.append("Subject To")
+def _lp_lines(model: Model):
+    """The lines of ``emit_lp``'s text, the last one empty."""
+    num, signed, blocks = _NumText(), _SignedText(), {}
+    yield "\\ " + model.name
+    yield "Minimize" if model.sense == "min" else "Maximize"
+    yield " obj: " + _lp_row(signed, model.objective, (), blocks)
+    yield "Subject To"
     for name in sorted(model.constraints):
         con = model.constraints[name]
-        out.append(f" {name}: {_lp_row(signed, con.lin, con.products)} {con.sense} {num(con.rhs)}")
-    out.append("Bounds")
+        row = _lp_row(signed, con.lin, con.products, blocks)
+        yield f" {name}: {row} {con.sense} {num(con.rhs)}"
+    yield "Bounds"
     for name in sorted(model.variables):
         var = model.variables[name]
         if var.binary:
             if var.lb == var.ub:
-                out.append(f" {name} = {num(var.lb)}")
+                yield f" {name} = {num(var.lb)}"
             continue
         if var.ub is None:
             if var.lb != 0.0:
-                out.append(f" {name} >= {num(var.lb)}")
+                yield f" {name} >= {num(var.lb)}"
         elif var.lb == var.ub:
-            out.append(f" {name} = {num(var.lb)}")
+            yield f" {name} = {num(var.lb)}"
         else:
-            out.append(f" {num(var.lb)} <= {name} <= {num(var.ub)}")
+            yield f" {num(var.lb)} <= {name} <= {num(var.ub)}"
     binaries = sorted(n for n, v in model.variables.items() if v.binary)
     if binaries:
-        out.append("Binary")
+        yield "Binary"
         for name in binaries:
-            out.append(f" {name}")
+            yield f" {name}"
     if model.sos2:
-        out.append("SOS")
+        yield "SOS"
         for name in sorted(model.sos2):
             s = model.sos2[name]
             members = " ".join(f"{v}:{i + 1}" for i, v in enumerate(s.members))
-            out.append(f" {name}: S2:: {members}")
-    out.append("End")
-    out.append("")  # the join ends the text with a newline, without a copy
-    return "\n".join(out)
+            yield f" {name}: S2:: {members}"
+    yield "End"
+    yield ""  # joined, the text ends with a newline
 
 
-def emit_mps(model: Model) -> str:
+def emit_lp(model: Model) -> str:
+    """The model as CPLEX LP text, in name order; ``write_model`` writes the same."""
+    return "\n".join(_lp_lines(model))
+
+
+def _mps_lines(model: Model):
+    """The lines of ``emit_mps``' text, the last one empty; checks before the first."""
     if any(con.products for con in model.constraints.values()):
         raise ModelError("quadratic constraints unsupported in MPS emission")
     num = _NumText()
-    out: list[str] = []
-    out.append(f"NAME          {model.name}")
+    yield f"NAME          {model.name}"
     if model.sense == "max":
-        out.append("OBJSENSE")
-        out.append("    MAX")
-    out.append("ROWS")
-    out.append(" N  obj")
+        yield "OBJSENSE"
+        yield "    MAX"
+    yield "ROWS"
+    yield " N  obj"
     senses = {"<=": "L", ">=": "G", "=": "E"}
     rows = sorted(model.constraints)
     for name in rows:
-        out.append(f" {senses[model.constraints[name].sense]}  {name}")
+        yield f" {senses[model.constraints[name].sense]}  {name}"
     # column-major coefficient table: per column, row label and coefficient
     # text in turn, both shared, so no string is made per entry
     cols: dict[str, list[str]] = {n: [] for n in model.variables}
@@ -647,14 +714,14 @@ def emit_mps(model: Model) -> str:
         row = "  " + name + "  "
         for coef, v in model.constraints[name].lin:
             cols[v] += row, num[coef]
-    out.append("COLUMNS")
+    yield "COLUMNS"
     marker = 0
     in_int = False
     for vname in sorted(model.variables):
         var = model.variables[vname]
         if var.binary != in_int:
             kind = "INTORG" if var.binary else "INTEND"
-            out.append(f"    MARKER{marker:04d}  'MARKER'                 '{kind}'")
+            yield f"    MARKER{marker:04d}  'MARKER'                 '{kind}'"
             marker += 1
             in_int = var.binary
         entries = cols.pop(vname)
@@ -664,39 +731,42 @@ def emit_mps(model: Model) -> str:
             parts[0] = parts[0][1:]
             parts[1::3] = entries[::2]
             parts[2::3] = entries[1::2]
-            out.append("".join(parts))
+            yield "".join(parts)
     if in_int:
-        out.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
-    out.append("RHS")
+        yield f"    MARKER{marker:04d}  'MARKER'                 'INTEND'"
+    yield "RHS"
     for name in rows:
         rhs = model.constraints[name].rhs
         if rhs != 0.0:
-            out.append(f"    RHS  {name}  {num(rhs)}")
-    out.append("BOUNDS")
+            yield f"    RHS  {name}  {num(rhs)}"
+    yield "BOUNDS"
     for vname in sorted(model.variables):
         var = model.variables[vname]
         if var.binary:
             if var.lb == var.ub:
-                out.append(f" FX BND  {vname}  {num(var.lb)}")
+                yield f" FX BND  {vname}  {num(var.lb)}"
             else:
-                out.append(f" BV BND  {vname}")
+                yield f" BV BND  {vname}"
             continue
         if var.ub is not None and var.lb == var.ub:
-            out.append(f" FX BND  {vname}  {num(var.lb)}")
+            yield f" FX BND  {vname}  {num(var.lb)}"
             continue
         if var.lb != 0.0:
-            out.append(f" LO BND  {vname}  {num(var.lb)}")
+            yield f" LO BND  {vname}  {num(var.lb)}"
         if var.ub is not None:
-            out.append(f" UP BND  {vname}  {num(var.ub)}")
+            yield f" UP BND  {vname}  {num(var.ub)}"
     if model.sos2:
-        out.append("SOS")
+        yield "SOS"
         for name in sorted(model.sos2):
-            out.append(f" S2 SOS  {name}")
+            yield f" S2 SOS  {name}"
             for i, v in enumerate(model.sos2[name].members):
-                out.append(f"    {v}  {num(float(i + 1))}")
-    out.append("ENDATA")
-    out.append("")
-    return "\n".join(out)
+                yield f"    {v}  {num(float(i + 1))}"
+    yield "ENDATA"
+    yield ""
+
+
+def emit_mps(model: Model) -> str:
+    return "\n".join(_mps_lines(model))
 
 
 def emit_model(model: Model, fmt: str = "lp") -> str:
@@ -705,6 +775,33 @@ def emit_model(model: Model, fmt: str = "lp") -> str:
     if fmt == "mps":
         return emit_mps(model)
     raise ModelError(f"unknown emission format {fmt!r}")
+
+
+_WRITE_BATCH = 1 << 20  # characters of lines joined per write
+
+
+def write_model(model: Model, path, fmt: str = "lp") -> None:
+    """Write ``emit_model(model, fmt)`` to ``path``, as ``Path.write_text`` would.
+
+    The lines are joined and written about 1 MiB at a time, so the text is
+    never whole in memory.  The format, and whether an MPS model has
+    bilinear rows, are checked before the file is opened, so a rejected
+    model leaves no file.
+    """
+    if fmt not in ("lp", "mps"):
+        raise ModelError(f"unknown emission format {fmt!r}")
+    lines = (_lp_lines if fmt == "lp" else _mps_lines)(model)
+    batch = [next(lines)]  # runs the generator's checks
+    size = 0
+    with open(path, "w") as fh:
+        for line in lines:
+            batch.append(line)
+            size += len(line)
+            if size >= _WRITE_BATCH:
+                batch.append("")  # this write ends with the newline before the next
+                fh.write("\n".join(batch))
+                batch, size = [], 0
+        fh.write("\n".join(batch))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from nfvlight import approx, build_milp, exact
-from nfvlight.cli import _WRITE_SLICE, _write_model, main
-from nfvlight.optmodel import Assignment, Model, emit_model
+from nfvlight.cli import main
+from nfvlight.optmodel import _WRITE_BATCH, Assignment, Model, emit_model, write_model
 from nfvlight.scenario import load_scenario, scenario_to_dict
 
 
@@ -284,7 +284,7 @@ class TestSolve:
 
 
 class TestModelFiles:
-    """Model files are written in slices; the bytes equal one whole encode."""
+    """Model files are streamed in batches; the bytes equal one whole encode."""
 
     @pytest.fixture(scope="class")
     def milp_texts(self, workdir):
@@ -298,7 +298,7 @@ class TestModelFiles:
             "build", "--scenario", str(workdir / "p0.json"), "--formulation", "milp",
             "--format", fmt, "--out", str(out),
         ]) == 0
-        assert len(milp_texts[fmt]) > _WRITE_SLICE
+        assert len(milp_texts[fmt]) > _WRITE_BATCH
         assert out.read_bytes() == milp_texts[fmt].encode()
 
     def test_solve_keep_model_holds_the_emitted_text(self, workdir, tmp_path, milp_texts, capsys):
@@ -310,17 +310,28 @@ class TestModelFiles:
         assert json.loads(capsys.readouterr().out)["ok"] is True
         assert kept.read_bytes() == milp_texts["mps"].encode()
 
-    def test_slices_encode_like_write_text(self, tmp_path):
+    def test_batches_encode_like_write_text(self, tmp_path):
         # Scenarios cannot name a variable outside ASCII; a hand-built
-        # model can, and its text spans more than one slice.
+        # model can, and its text spans more than one batch.
         m = Model("milp", name="é")
         names = [m.add_var(f"xé{i}", "lam", ub=1.0) for i in range(40000)]
         m.add_con("cé", "capacity", [(1.0, v) for v in names], "<=", 1.0)
         text = emit_model(m, "lp")
-        assert len(text) > _WRITE_SLICE
-        _write_model(tmp_path / "sliced.lp", text)
+        assert len(text) > _WRITE_BATCH
+        write_model(m, tmp_path / "streamed.lp", "lp")
         (tmp_path / "whole.lp").write_text(text)
-        assert (tmp_path / "sliced.lp").read_bytes() == (tmp_path / "whole.lp").read_bytes()
+        assert (tmp_path / "streamed.lp").read_bytes() == (tmp_path / "whole.lp").read_bytes()
+
+    def test_a_rejected_model_leaves_no_file(self, workdir, tmp_path, capsys):
+        out = tmp_path / "p0.mps"
+        assert main([
+            "build", "--scenario", str(workdir / "p0.json"), "--formulation", "miqcp",
+            "--format", "mps", "--out", str(out),
+        ]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ModelError", "message": "quadratic constraints unsupported in MPS emission",
+        }
+        assert not out.exists()
 
 
 class TestValidate:

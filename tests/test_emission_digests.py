@@ -1,7 +1,8 @@
 """Golden sha256 digests of the LP and MPS text both builders emit.
 
 Refactors of the builders must leave every emitted byte unchanged, so these
-digests are fixed, not regenerated.  The default path6 perm0 models are
+digests are fixed, not regenerated.  Files that ``write_model`` streams must
+hold the same bytes as the text.  The default path6 perm0 models are
 checked against the benchmark's own expected digests in
 ``perfbench/expected.json``, which this test reads and never writes.
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from nfvlight import build_milp, build_miqcp, emit_lp, emit_mps
+from nfvlight import build_milp, build_miqcp, emit_lp, emit_model, emit_mps, write_model
 
 VARIANTS = {
     "default": {},
@@ -88,3 +89,43 @@ def test_default_perm0_files_match_the_benchmark_digests(perm0):
         "perm0-milp-mps": _sha256(emit_mps(milp)),
         "perm0-miqcp-lp": _sha256(emit_lp(build_miqcp(perm0))),
     } == json.loads(expected.read_text())["model_sha256"]
+
+
+def golden_model(case: str, request):
+    """The model of a golden ``case``, built as the digest test above builds it."""
+    instance, variant, kind = case.split("-")
+    scn = request.getfixturevalue(instance)
+    build = build_miqcp if kind == "miqcp" else build_milp
+    model = build(scn, **VARIANTS.get(variant, {}))
+    if variant in STAGES:
+        part, pins = STAGES[variant]
+        model.set_objective(*model.objective_parts[part])
+        for k, value in pins:
+            terms = model.objective_parts[k][0]
+            model.add_con(f"objective_pin_o{k}", "objective_pin", terms, "=", value)
+    return model
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_written_files_hold_the_emitted_text(case, request, tmp_path):
+    model = golden_model(case, request)
+    for fmt in ("lp", "mps") if model.kind == "milp" else ("lp",):
+        path = tmp_path / f"{case}.{fmt}"
+        write_model(model, path, fmt)
+        data = path.read_bytes()
+        assert data == emit_model(model, fmt).encode(), f"{case}-{fmt}"
+        assert hashlib.sha256(data).hexdigest() == DIGESTS[f"{case}-{fmt}"], f"{case}-{fmt}"
+
+
+def test_default_perm0_written_files_match_the_benchmark_digests(perm0, tmp_path):
+    expected = Path(__file__).parent.parent / "perfbench" / "expected.json"
+    digests = {}
+    for case, build, fmt in (
+        ("perm0-milp-lp", build_milp, "lp"),
+        ("perm0-milp-mps", build_milp, "mps"),
+        ("perm0-miqcp-lp", build_miqcp, "lp"),
+    ):
+        path = tmp_path / f"{case}.{fmt}"
+        write_model(build(perm0), path, fmt)
+        digests[case] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == json.loads(expected.read_text())["model_sha256"]

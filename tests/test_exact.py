@@ -13,7 +13,7 @@ import pytest
 from conftest import random_chain_scenario
 from nfvlight import approx, build_milp, build_miqcp, emit_lp, exact, naming, permutation_scenario
 from nfvlight.exact import compute_bigM
-from nfvlight.optmodel import model_stats
+from nfvlight.optmodel import Model, model_stats
 from nfvlight.scenario import QueueApprox
 
 
@@ -225,6 +225,31 @@ class TestCompiledOnce:
         assert compiles == [(kind, scn, False)]
         assert joint.variables[LIT[kind]][3:] == (0.0, 1.0)
         assert fixed.variables[LIT[kind]][3:] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("kind", ["miqcp", "milp"])
+    def test_only_a_fixed_topology_build_makes_the_fixed_copy(self, tiny, compiles, monkeypatch,
+                                                               kind):
+        fixes = []
+        real = Model.fix_var
+
+        def spy(model, name, value):
+            fixes.append(name)
+            real(model, name, value)
+
+        monkeypatch.setattr(Model, "fix_var", spy)
+        build = BUILDERS[kind]
+        build(tiny)
+        compiled = len(fixes)  # the MILP compile fixes some variables itself
+        build(tiny)
+        build(tiny)
+        assert exact._compiled[3] is None and len(fixes) == compiled  # a joint-only process
+        build(tiny, True)
+        lit, made = exact._compiled[3], len(fixes)
+        assert lit is not None and LIT[kind] in fixes[compiled:]
+        build(tiny, True)
+        build(tiny)
+        assert exact._compiled[3] is lit and len(fixes) == made
+        assert len(compiles) == 1
 
     @pytest.mark.parametrize("kind", ["miqcp", "milp"])
     def test_fixed_first_and_fixed_after_joint_emit_the_same_bytes(self, tiny, kind):

@@ -24,6 +24,7 @@ from nfvlight.optmodel import (
     model_stats,
     objective_value,
     parse_solution,
+    write_model,
 )
 
 
@@ -382,6 +383,15 @@ class TestEmission:
         assert emit_model(m, "mps").startswith("NAME")
         with pytest.raises(ModelError, match="format"):
             emit_model(m, "sav")
+
+    @pytest.mark.parametrize("kind, fmt, match", [
+        ("milp", "sav", "format"), ("miqcp", "mps", "MPS"),
+    ])
+    def test_write_model_rejects_before_it_opens_the_file(self, tmp_path, kind, fmt, match):
+        path = tmp_path / f"golden.{fmt}"
+        with pytest.raises(ModelError, match=match):
+            write_model(golden_milp() if kind == "milp" else golden_miqcp(), path, fmt)
+        assert not path.exists()
 
     def test_emission_deterministic_on_generated_models(self, tiny):
         for build in (build_miqcp, build_milp):

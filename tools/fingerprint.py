@@ -35,7 +35,8 @@ digests mean equal results, bit for bit.  Sections:
 * ``models``: the sha256 of each model file the ``solve-replay`` benchmark
   workload emits and checks against ``perfbench/expected.json``, path6
   permutation 0 with default options: ``perm0-milp-lp``, ``perm0-milp-mps``
-  and ``perm0-miqcp-lp``.
+  and ``perm0-miqcp-lp``.  Each case has two lines: the emitted text, and
+  the file that ``nfvlight build --out`` writes from the saved scenario.
 
 The run takes about 10-11 seconds on one core of a shared 2-vCPU host
 (Python 3.11), about 4 seconds of it for ``violations`` and 1 second for
@@ -49,16 +50,20 @@ import json
 import math
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 from nfvlight import (
     as_assignment,
     build_milp,
     build_miqcp,
     builtin_topology,
+    cli,
     emit_lp,
     emit_mps,
     motivation_scenario,
     permutation_scenario,
+    save_scenario,
     solve_exhaustive,
     solve_sequential_baseline,
     validate,
@@ -193,12 +198,21 @@ def violations_section():
 
 def models_section():
     scn = permutation_scenario(builtin_topology("path6"), 0, topology_name="path6")
-    for case, build, emit in (
-        ("perm0-milp-lp", build_milp, emit_lp),
-        ("perm0-milp-mps", build_milp, emit_mps),
-        ("perm0-miqcp-lp", build_miqcp, emit_lp),
-    ):
-        yield line(case, hashlib.sha256(emit(build(scn)).encode()).hexdigest())
+    with tempfile.TemporaryDirectory(prefix="fingerprint.") as td:
+        saved = Path(td) / "perm0.json"
+        save_scenario(scn, saved)
+        for case, build, emit in (
+            ("perm0-milp-lp", build_milp, emit_lp),
+            ("perm0-milp-mps", build_milp, emit_mps),
+            ("perm0-miqcp-lp", build_miqcp, emit_lp),
+        ):
+            yield line(case, hashlib.sha256(emit(build(scn)).encode()).hexdigest())
+            kind, fmt = case.split("-")[1:]
+            out = Path(td) / f"{case}.{fmt}"
+            code = cli.main(["build", "--scenario", str(saved), "--formulation", kind,
+                             "--format", fmt, "--out", str(out)])
+            yield line(case, "build --out", code, hashlib.sha256(out.read_bytes()).hexdigest())
+            out.unlink()
 
 
 def main() -> int:
