@@ -32,9 +32,9 @@ def test_emission_takes_at_most_two_and_a_half_texts(perm0, build, emit):
 
 
 def test_writing_the_miqcp_file_peaks_under_an_eighth_of_its_text(perm0, tmp_path):
-    # The 42.7 MB LP text, written about 1 MiB at a time: the peak is a
-    # batch, its encoding and the per-tuple prefix texts, about 4 MiB.
-    # Emitting the text whole peaked at 82.5 MiB.
+    # The 42.7 MB LP text, written about 1 MiB at a time: the peak, about
+    # 4 MiB, is a batch of lines, their join and its encoding, plus 0.5 MiB
+    # of per-tuple prefix texts.  Emitting the whole text peaks at 82 MiB.
     model = build_miqcp(perm0)
     path = tmp_path / "perm0.lp"
     tracemalloc.start()

@@ -38,8 +38,8 @@ digests mean equal results, bit for bit.  Sections:
   and ``perm0-miqcp-lp``.  Each case has two lines: the emitted text, and
   the file that ``nfvlight build --out`` writes from the saved scenario.
 
-The run takes about 10-11 seconds on one core of a shared 2-vCPU host
-(Python 3.11), about 4 seconds of it for ``violations`` and 1 second for
+The run takes about 12-15 seconds on one core of a shared 2-vCPU host
+(Python 3.11), about 4 seconds of it for ``violations`` and 2 seconds for
 ``models``.
 """
 from __future__ import annotations
