@@ -320,9 +320,9 @@ def validate(
     Rows come from ``model.rows_to_check`` and bounds from
     ``model.vars_to_check``, which leave out only entries that hold at these
     values, so the violations, their order and their amounts are those of a
-    pass over every row and variable.  A model's copies share the indexes
-    behind both, built the second time they are asked for, so a model
-    validated once pays for none.
+    pass over every row and variable.  The indexes behind both belong to the
+    frozen layers of a copied model's tables and are built the second time
+    those are asked for, so a model validated once pays for none.
     The report is ``ok`` when no row, bound or SOS2 set is violated; the
     re-timing checks every active embedding tuple of any solution.  A NaN
     or infinite value is a ``non_finite`` violation, so it is never ``ok``.

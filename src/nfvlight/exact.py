@@ -507,11 +507,11 @@ def compiled_copy(scn: Scenario, fixed_topology: bool, prune_pinned_tuples: bool
     ``compile_model`` returns the model without ``add_scenario_rows``' rows
     and the value of every lightpath variable under the fixed topology.  The
     compiled model is kept for the next call whose ``_compile_key`` is equal,
-    and so, from the first fixed-topology call on, is a copy of it whose
-    lightpaths are fixed.  Every call, hit or miss, copies one of the two,
-    adds the scenario rows and names the copy after ``scn``.  So the copies
-    of both modes share one row index, and those of each mode one variable
-    index.
+    and so, from the first fixed-topology call on, is a copy of it whose top
+    holds the lightpath fixings.  Every call, hit or miss, copies one of the
+    two, names the copy after ``scn`` and adds the scenario rows to its top.
+    Copies share frozen layers, so the builds of both modes share one row
+    index, and those of each mode one variable index.
     """
     global _compiled
     key = _compile_key(scn, compile_model, prune_pinned_tuples, reads_capacity)

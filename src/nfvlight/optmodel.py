@@ -19,22 +19,23 @@ A builder may also record the parts of a weighted objective in
 ``Model.objective_parts``, each part's terms, a tuple, with the sense it is
 optimized in on its own.  A staged solve sets one part after another as the
 objective of the same model and pins each solved part with an equality row.
-``Model.copy`` gives a model its own tables over the same records, term
-tuples and objective parts, which are immutable; changing the copy leaves
-the original as it was.
+``Model.copy`` is copy-on-write: it freezes the entries a model holds, and
+both models read their tables through a ``ChainMap`` of their own top over
+those frozen layers, so writes to either leave the other as it was.
 ``Model.rows_to_check`` gives the rows that an assignment can break, through
 a column index from each variable to the rows that read it, and
 ``Model.vars_to_check`` the variables whose bounds it can break.  Each index
-is shared by a model's copies and built the second time the group asks for
-it: a model checked once pays for no index, and validating many copies of
-one compiled model costs one build.
+belongs to a table's frozen layers, shared by every model over them, and is
+built the second time they are asked for: a model checked once pays for no
+index, and validating many copies of one compiled model costs one build.
 """
 from __future__ import annotations
 
 import math
+from collections import ChainMap
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
-from operator import add, is_, itemgetter
+from itertools import chain, compress, filterfalse, repeat
+from operator import add, itemgetter
 from typing import NamedTuple
 
 ROLE_TAGS = ("lam", "mu", "l", "x1", "x2", "x3", "x4", "y", "z", "eta", "theta", "xi")
@@ -175,6 +176,29 @@ def _product_sums(products) -> list[tuple[str, float]]:
     return [(key, acc[key]) for key in sorted(acc) if acc[key] != 0.0]
 
 
+def _layers(table) -> list[dict]:
+    """The dicts of a model table, top first; a table never copied is one dict."""
+    return table.maps if type(table) is ChainMap else [table]
+
+
+def _flat(table) -> dict:
+    """A model table as one dict in its order, to read only: merged one layer at a time."""
+    layers = [layer for layer in _layers(table) if layer]
+    if len(layers) == 1:
+        return layers[0]
+    flat: dict = {}
+    for layer in reversed(layers):
+        flat.update(layer)
+    return flat
+
+
+def _missing(table, names):
+    """The ``names`` that no layer of a model table holds, lazily, in their order."""
+    for layer in _layers(table):
+        names = filterfalse(layer.__contains__, names)
+    return names
+
+
 def _check_name(what: str, name: str) -> None:
     # LP/MPS separate fields with spaces, and emission orders bilinear pairs
     # by their "a * b" text, which is (a, b) order only when no name holds a
@@ -184,7 +208,7 @@ def _check_name(what: str, name: str) -> None:
 
 
 class _RowIndex(NamedTuple):
-    """A column index over a model's leading rows (CSC-style).
+    """A column index over a model's frozen rows (CSC-style).
 
     ``broken_at_zero`` holds the positions in ``records`` of the rows that a
     left-hand side of 0.0 breaks, which are always read.  ``columns`` maps
@@ -195,6 +219,11 @@ class _RowIndex(NamedTuple):
     records: tuple[Constraint, ...]
     columns: dict[str, tuple[int, ...]]
     broken_at_zero: tuple[int, ...]
+
+    def hits(self, values: dict[str, float]) -> set[int]:
+        hit = set(self.broken_at_zero)
+        hit.update(*filter(None, map(self.columns.get, compress(values, values.values()))))
+        return hit
 
 
 def _build_row_index(records: tuple[Constraint, ...]) -> _RowIndex:
@@ -225,7 +254,7 @@ def _build_row_index(records: tuple[Constraint, ...]) -> _RowIndex:
 
 
 class _VarIndex(NamedTuple):
-    """A position index over a model's leading variables.
+    """A position index over a model's frozen variables.
 
     ``positions`` maps each variable to its position in ``records``;
     ``zero_breaking`` holds the positions of the variables whose bounds
@@ -235,6 +264,11 @@ class _VarIndex(NamedTuple):
     records: tuple[Variable, ...]
     positions: dict[str, int]
     zero_breaking: tuple[int, ...]
+
+    def hits(self, values: dict[str, float]) -> set[int]:
+        hit = {*self.zero_breaking, *map(self.positions.get, compress(values, values.values()))}
+        hit.discard(None)  # a name outside the index
+        return hit
 
 
 def _build_var_index(records: tuple[Variable, ...]) -> _VarIndex:
@@ -246,28 +280,13 @@ def _build_var_index(records: tuple[Variable, ...]) -> _VarIndex:
     )
 
 
-class _SharedIndex:
-    """The index of one table of a model and its copies, and how much it may cover.
-
-    ``limit`` is the number of leading entries that every model sharing this
-    holds in common (``None`` before the first copy: all of them).
-    ``asked`` records the group's first ask, which builds nothing.
-    """
-
-    __slots__ = ("index", "limit", "asked")
-
-    def __init__(self):
-        self.index = None
-        self.limit: int | None = None
-        self.asked = False
-
-
 class Model:
     def __init__(self, kind: str, name: str = "model"):
         if kind not in ("miqcp", "milp"):
             raise ModelError(f"unknown model kind {kind!r}")
         self.kind = kind
         self.name = name
+        # each a ChainMap of a top over frozen layers once the model is copied
         self.variables: dict[str, Variable] = {}
         self.constraints: dict[str, Constraint] = {}
         self.sos2: dict[str, SOS2Set] = {}
@@ -277,90 +296,71 @@ class Model:
         self.objective_parts: dict[int, tuple[tuple[tuple[float, str], ...], str]] = {}
         # id -> checked product terms tuple, held so that the id stays unique
         self._checked_terms: dict[int, tuple] = {}
-        self._shared_rows = _SharedIndex()
-        self._shared_vars = _SharedIndex()
+        # first frozen layer's id -> (that layer, its index or None), shared with copies
+        self._indexes: dict[int, tuple] = {}
 
     def copy(self) -> Model:
-        """A model with the same content in new tables, cheap to change alone.
+        """A model with the same content, cheap to make and to change alone.
 
-        The tables are new dicts over the same immutable records and term
-        tuples, so ``add_*``, ``fix_var`` and ``set_objective`` on either
-        model leave the other as it was.  The two models share the row index
-        of ``rows_to_check`` and the variable index of ``vars_to_check``,
-        each over the entries both hold now; entries either model adds later
-        are outside them.
+        The entries of ``variables``, ``constraints`` and the checked term
+        tuples are frozen: this model's tables are rebound to a ``ChainMap``
+        of a new empty top over the frozen layers (empty tops dropped), and
+        the copy's to another.  No entry is changed or copied.  Writes to
+        either model land in its own top and leave the other as it was.  The
+        indexes of ``rows_to_check`` and ``vars_to_check`` belong to the
+        frozen layers, so both models share them.
         """
-        for shared, table in ((self._shared_rows, self.constraints),
-                              (self._shared_vars, self.variables)):
-            if shared.limit is None or len(table) < shared.limit:
-                shared.limit = len(table)
         other = Model(self.kind, self.name)
-        other._shared_rows, other._shared_vars = self._shared_rows, self._shared_vars
-        other.variables = dict(self.variables)
-        other.constraints = dict(self.constraints)
+        for attr in ("variables", "constraints", "_checked_terms"):
+            frozen = [layer for layer in _layers(getattr(self, attr)) if layer]
+            setattr(self, attr, ChainMap({}, *frozen))
+            setattr(other, attr, ChainMap({}, *frozen))
         other.sos2 = dict(self.sos2)
         other.objective, other.sense = self.objective, self.sense
         other.objective_parts = dict(self.objective_parts)
-        other._checked_terms = dict(self._checked_terms)
+        other._indexes = self._indexes
         return other
 
     def rows_to_check(self, values: dict[str, float]) -> list[Constraint]:
-        """The rows that ``values`` can break, in insertion order.
+        """The rows that ``values`` can break, in table order.
 
-        These are the indexed rows that hold a variable whose value is not
+        These are the frozen rows that hold a variable whose value is not
         exactly 0.0 (NaN counts), in ``lin`` or as a product's ``a``; the
-        rows that a left-hand side of 0.0 breaks; and every row outside the
-        index.  Every other row reads only zeros and products that
+        frozen rows that a left-hand side of 0.0 breaks; and every row of
+        the top.  Every other row reads only zeros and products that
         ``constraint_lhs`` skips, so its left-hand side is exactly 0.0 and
-        it holds.  Before the index is built, every row.
+        it holds.  See ``_to_check`` for when it is every row.
         """
-        index = self._index("_shared_rows", self.constraints, _build_row_index)
-        if index is None:
-            return list(self.constraints.values())
-        hit = set(index.broken_at_zero)
-        for rows in filter(None, map(index.columns.get, compress(values, values.values()))):
-            hit.update(rows)
-        records = index.records
-        checked = [records[pos] for pos in sorted(hit)]
-        checked += islice(self.constraints.values(), len(records), None)
-        return checked
+        return self._to_check(self.constraints, _build_row_index, values)
 
     def vars_to_check(self, values: dict[str, float]) -> list[Variable]:
         """The variables whose bounds ``values`` can break, in table order.
 
-        These are the indexed variables whose value is not exactly 0.0 (NaN
-        counts), those whose bounds exclude 0.0, and every variable outside
-        the index.  Every other variable is at 0.0 within its bounds.
-        Before the index is built, every variable.
+        These are the frozen variables whose value is not exactly 0.0 (NaN
+        counts), those whose bounds exclude 0.0, and every variable of the
+        top.  Every other variable is at 0.0 within its bounds.  See
+        ``_to_check`` for when it is every variable.
         """
-        index = self._index("_shared_vars", self.variables, _build_var_index)
-        if index is None:
-            return list(self.variables.values())
-        hit = set(index.zero_breaking)
-        hit.update(map(index.positions.get, compress(values, values.values())))
-        hit.discard(None)  # a name outside the index
-        records = index.records
-        checked = [records[pos] for pos in sorted(hit)]
-        checked += islice(self.variables.values(), len(records), None)
-        return checked
+        return self._to_check(self.variables, _build_var_index, values)
 
-    def _index(self, attr: str, table: dict, build):
-        """The index over ``table`` that ``attr`` shares; None on the group's first ask."""
-        shared = getattr(self, attr)
-        index = shared.index
-        if index is not None:
-            records = index.records
-            # the records are immutable, so the same objects are the same entries
-            if len(table) >= len(records) and all(map(is_, table.values(), records)):
-                return index
-            # an entry the index was built from is not here: this model leaves the group
-            shared = _SharedIndex()
-            setattr(self, attr, shared)
-        if not shared.asked:
-            shared.asked = True
-            return None
-        index = shared.index = build(tuple(islice(table.values(), shared.limit)))
-        return index
+    def _to_check(self, table, build, values: dict[str, float]) -> list:
+        """The index hits over ``table``'s frozen layers, then its top's entries.
+
+        Every entry when ``table`` has no frozen layer, when its top replaces
+        a frozen entry (``fix_var`` after a copy, or an item write) and on the
+        first ask of its frozen layers, which builds no index.
+        """
+        top, *frozen = _layers(table)
+        if not frozen or any(any(map(layer.__contains__, top)) for layer in frozen):
+            return list(_flat(table).values())
+        held = self._indexes.get(id(frozen[0]))
+        if held is None:
+            self._indexes[id(frozen[0])] = (frozen[0], None)
+            return list(_flat(table).values())
+        index = held[1] or build(tuple(_flat(ChainMap(*frozen)).values()))
+        self._indexes[id(frozen[0])] = (frozen[0], index)
+        records = index.records
+        return [records[pos] for pos in sorted(index.hits(values))] + list(top.values())
 
     # -- construction -------------------------------------------------------
 
@@ -399,8 +399,6 @@ class Model:
         except OverflowError:
             raise ModelError(f"cannot fix {name} at a value beyond the float range") from None
         self.variables[name] = self.variables[name]._replace(lb=value, ub=value)
-        # the record is new, so this model leaves its variable index group
-        self._shared_vars = _SharedIndex()
 
     def add_con(
         self,
@@ -433,13 +431,12 @@ class Model:
             (t[0], tuple(t[1])) if len(t) == 2 else (t[1], ((t[0], t[2]),)) for t in quad
         ) if quad else ()
         variables, checked = self.variables, self._checked_terms
-        for _, v in lin:
-            if v not in variables:
-                raise ModelError(f"constraint {name} references unknown variable {v}")
+        for v in _missing(variables, map(itemgetter(1), lin)):
+            raise ModelError(f"constraint {name} references unknown variable {v}")
         for a, terms in products:
             if a in variables and id(terms) in checked:
                 continue
-            if a not in variables or not variables.keys() >= set(map(itemgetter(1), terms)):
+            for _ in _missing(variables, chain((a,), map(itemgetter(1), terms))):
                 b = next((b for _, b in terms if a not in variables or b not in variables), "")
                 raise ModelError(f"constraint {name} references unknown variable {a}*{b}")
             try:
@@ -463,9 +460,8 @@ class Model:
             raise ModelError(f"duplicate SOS2 set {name}")
         if len(members) < 2:
             raise ModelError(f"SOS2 set {name} needs at least two members")
-        for v in members:
-            if v not in self.variables:
-                raise ModelError(f"SOS2 set {name} references unknown variable {v}")
+        for v in _missing(self.variables, members):
+            raise ModelError(f"SOS2 set {name} references unknown variable {v}")
         if len(set(members)) < len(members):
             raise ModelError(f"SOS2 set {name} repeats a member")
         self.sos2[name] = SOS2Set(name, members)
@@ -478,24 +474,24 @@ class Model:
             terms = _merge_lin(terms)
         except ModelError as exc:
             raise ModelError(f"objective: {exc}") from None
-        for _, v in terms:
-            if v not in self.variables:
-                raise ModelError(f"objective references unknown variable {v}")
+        for v in _missing(self.variables, map(itemgetter(1), terms)):
+            raise ModelError(f"objective references unknown variable {v}")
         self.objective = terms
         self.sense = sense
 
 
 def model_stats(model: Model) -> dict:
+    variables, constraints = _flat(model.variables), _flat(model.constraints)
     vars_by_role: dict[str, int] = {}
-    for var in model.variables.values():
+    for var in variables.values():
         vars_by_role[var.role] = vars_by_role.get(var.role, 0) + 1
     cons_by_family: dict[str, int] = {}
-    for con in model.constraints.values():
+    for con in constraints.values():
         cons_by_family[con.family] = cons_by_family.get(con.family, 0) + 1
     return {
         "kind": model.kind,
-        "n_variables": len(model.variables),
-        "n_constraints": len(model.constraints),
+        "n_variables": len(variables),
+        "n_constraints": len(constraints),
         "n_sos2": len(model.sos2),
         "variables": dict(sorted(vars_by_role.items())),
         "constraints": dict(sorted(cons_by_family.items())),
@@ -648,17 +644,18 @@ def _lp_row(signed: _SignedText, lin, products, blocks: dict) -> str:
 def _lp_lines(model: Model):
     """The lines of ``emit_lp``'s text, the last one empty."""
     num, signed, blocks = _NumText(), _SignedText(), {}
+    constraints, variables = _flat(model.constraints), _flat(model.variables)
     yield "\\ " + model.name
     yield "Minimize" if model.sense == "min" else "Maximize"
     yield " obj: " + _lp_row(signed, model.objective, (), blocks)
     yield "Subject To"
-    for name in sorted(model.constraints):
-        con = model.constraints[name]
+    for name in sorted(constraints):
+        con = constraints[name]
         row = _lp_row(signed, con.lin, con.products, blocks)
         yield f" {name}: {row} {con.sense} {num(con.rhs)}"
     yield "Bounds"
-    for name in sorted(model.variables):
-        var = model.variables[name]
+    for name in sorted(variables):
+        var = variables[name]
         if var.binary:
             if var.lb == var.ub:
                 yield f" {name} = {num(var.lb)}"
@@ -670,7 +667,7 @@ def _lp_lines(model: Model):
             yield f" {name} = {num(var.lb)}"
         else:
             yield f" {num(var.lb)} <= {name} <= {num(var.ub)}"
-    binaries = sorted(n for n, v in model.variables.items() if v.binary)
+    binaries = sorted(n for n, v in variables.items() if v.binary)
     if binaries:
         yield "Binary"
         for name in binaries:
@@ -692,7 +689,8 @@ def emit_lp(model: Model) -> str:
 
 def _mps_lines(model: Model):
     """The lines of ``emit_mps``' text, the last one empty; checks before the first."""
-    if any(con.products for con in model.constraints.values()):
+    constraints, variables = _flat(model.constraints), _flat(model.variables)
+    if any(con.products for con in constraints.values()):
         raise ModelError("quadratic constraints unsupported in MPS emission")
     num = _NumText()
     yield f"NAME          {model.name}"
@@ -702,23 +700,23 @@ def _mps_lines(model: Model):
     yield "ROWS"
     yield " N  obj"
     senses = {"<=": "L", ">=": "G", "=": "E"}
-    rows = sorted(model.constraints)
+    rows = sorted(constraints)
     for name in rows:
-        yield f" {senses[model.constraints[name].sense]}  {name}"
+        yield f" {senses[constraints[name].sense]}  {name}"
     # column-major coefficient table: per column, row label and coefficient
     # text in turn, both shared, so no string is made per entry
-    cols: dict[str, list[str]] = {n: [] for n in model.variables}
+    cols: dict[str, list[str]] = {n: [] for n in variables}
     for coef, v in model.objective:
         cols[v] += "  obj  ", num[coef]
     for name in rows:
         row = "  " + name + "  "
-        for coef, v in model.constraints[name].lin:
+        for coef, v in constraints[name].lin:
             cols[v] += row, num[coef]
     yield "COLUMNS"
     marker = 0
     in_int = False
-    for vname in sorted(model.variables):
-        var = model.variables[vname]
+    for vname in sorted(variables):
+        var = variables[vname]
         if var.binary != in_int:
             kind = "INTORG" if var.binary else "INTEND"
             yield f"    MARKER{marker:04d}  'MARKER'                 '{kind}'"
@@ -736,12 +734,12 @@ def _mps_lines(model: Model):
         yield f"    MARKER{marker:04d}  'MARKER'                 'INTEND'"
     yield "RHS"
     for name in rows:
-        rhs = model.constraints[name].rhs
+        rhs = constraints[name].rhs
         if rhs != 0.0:
             yield f"    RHS  {name}  {num(rhs)}"
     yield "BOUNDS"
-    for vname in sorted(model.variables):
-        var = model.variables[vname]
+    for vname in sorted(variables):
+        var = variables[vname]
         if var.binary:
             if var.lb == var.ub:
                 yield f" FX BND  {vname}  {num(var.lb)}"
@@ -817,6 +815,7 @@ def parse_solution(text: str, model: Model) -> Assignment:
     bounds are rejected, and variables missing from the file default to 0
     with a warning.
     """
+    variables = _flat(model.variables)
     values: dict[str, float] = {}
     warnings: list[str] = []
     objective = None
@@ -844,7 +843,7 @@ def parse_solution(text: str, model: Model) -> Assignment:
         if len(parts) != 2:
             raise SolutionError(f"line {lineno}: expected 'name value', got {raw!r}")
         name, raw_val = parts
-        if name not in model.variables:
+        if name not in variables:
             raise SolutionError(f"line {lineno}: unknown variable {name!r}")
         if name in values:
             raise SolutionError(f"line {lineno}: duplicate value for {name}")
@@ -854,7 +853,7 @@ def parse_solution(text: str, model: Model) -> Assignment:
             raise SolutionError(f"line {lineno}: bad number {raw_val!r}") from exc
         if not math.isfinite(val):
             raise SolutionError(f"line {lineno}: non-finite value {raw_val!r} for {name}")
-        var = model.variables[name]
+        var = variables[name]
         if var.binary:
             rounded = round(val)
             if abs(val - rounded) > INT_TOLERANCE:
@@ -867,7 +866,7 @@ def parse_solution(text: str, model: Model) -> Assignment:
                 f"line {lineno}: value {val!r} outside bounds of {name}"
             )
         values[name] = val
-    missing = [n for n in model.variables if n not in values]
+    missing = [n for n in variables if n not in values]
     if missing:
         warnings.append(f"{len(missing)} variables missing from solution, defaulted to 0")
         for n in missing:

@@ -607,7 +607,7 @@ class TestSparseValidation:
         scn = differential_scenario("path6-41")
         model = BUILDS[kind](scn)
         values = as_assignment(oracle_answer("path6-41", False), scn, kind)
-        assert assert_matches_dense(scn, model, values).ok  # the shared index is built
+        assert assert_matches_dense(scn, model, values).ok  # the first ask builds no index
         other = model.copy()
         con = next(c for c in model.constraints.values()
                    if c.sense == "<=" and c.rhs == 0.0 and all(not values.get(v) for _, v in c.lin)
@@ -652,10 +652,11 @@ class TestSparseValidation:
 
     @staticmethod
     def indexed(scn, model, values):
-        """``model`` after two validations, so that its group has built both indexes."""
+        """``model`` after two validations, so that both indexes of its frozen layers are built."""
         for _ in range(2):
             assert_matches_dense(scn, model, values)
-        assert model._shared_rows.index is not None and model._shared_vars.index is not None
+        for table in (model.constraints, model.variables):
+            assert model._indexes[id(table.maps[1])][1] is not None
         return model
 
     @pytest.mark.parametrize("kind", ["miqcp", "milp"])

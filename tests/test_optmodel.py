@@ -821,6 +821,113 @@ def test_merged_short_rows_keep_their_term_tuples():
     assert lin == (ta, tb) and lin[0] is ta and lin[1] is tb
 
 
+_COPY_VARS = [f"v{i}" for i in range(6)]
+_COPY_ROWS = [f"r{i}" for i in range(5)]
+_COPY_VALUES = [0.0, -0.0, math.nan, 1.0, -1.0, 2.5, -0.5]
+# term tuples shared by every model of a run, so that a tuple checked in one
+# model may reach another that lacks one of its variables
+_COPY_TERMS = (((1.0, "v0"), (-2.0, "v1")), ((0.5, "v2"),), ((1.5, "v5"), (1.0, "v3")))
+
+
+def _dict_copy(model: Model) -> Model:
+    """The reference copy: every table copied into a new dict."""
+    other = Model(model.kind, model.name)
+    other.variables = dict(model.variables)
+    other.constraints = dict(model.constraints)
+    other._checked_terms = dict(model._checked_terms)
+    other.sos2 = dict(model.sos2)
+    other.objective, other.sense = model.objective, model.sense
+    other.objective_parts = dict(model.objective_parts)
+    return other
+
+
+def _error(model: Model, method: str, *args, **kw):
+    """The text of the ``ModelError`` that the call raises, or None."""
+    try:
+        getattr(model, method)(*args, **kw)
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+def _in_table_order(records, table) -> bool:
+    """Whether ``records`` are entries of ``table``, each once, in its order."""
+    entries = iter(table.values())
+    return all(any(rec is entry for entry in entries) for rec in records)
+
+
+def _broken(rows, variables, values):
+    """The rows and bounds that ``validate`` reports broken at ``values``, in order."""
+    out = [(con.name, amt) for con in rows if (amt := constraint_violation(con, values)) > 1e-9]
+    for var in variables:
+        val = values.get(var.name, 0.0)
+        gap = max(var.lb - val, (val - var.ub) if var.ub is not None else 0.0)
+        if not math.isfinite(val) or gap > 1e-9:
+            out.append((var.name, gap if math.isfinite(val) else math.inf))
+    return out
+
+
+def _copy_step(data, model: Model, ref: Model):
+    """One drawn change, made to ``model`` and ``ref`` alike; a copy returns the new pair."""
+    name = st.sampled_from(_COPY_VARS)
+    lin = st.lists(st.tuples(st.sampled_from([1.0, -2.0, 0.5]), name), max_size=3)
+    op = data.draw(st.sampled_from(["var", "lin", "prod", "fix", "obj", "copy", "write"]))
+    if op == "copy":
+        return model.copy(), _dict_copy(ref)
+    if op == "write":
+        table = data.draw(st.sampled_from(["variables", "constraints"]))
+        key = data.draw(st.sampled_from(_COPY_VARS if table == "variables" else _COPY_ROWS))
+        bound = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
+        if table == "variables":
+            old = ref.variables.get(key, Variable(key, "lam"))
+            record = old._replace(lb=bound, ub=data.draw(st.sampled_from([None, 0.5, 3.0])))
+        else:
+            old = ref.constraints.get(key, Constraint(key, "delay", ((1.0, "v0"),), "<=", 0.0))
+            record = old._replace(rhs=bound)
+        getattr(model, table)[key] = getattr(ref, table)[key] = record
+        return None
+    kw = {}
+    if op == "var":
+        args = ("add_var", data.draw(name), "lam")
+        kw = {"lb": data.draw(st.sampled_from([0.0, -1.0, 0.5])),
+              "ub": data.draw(st.sampled_from([None, 0.25, 2.0])), "binary": data.draw(st.booleans())}
+    elif op in ("lin", "prod"):
+        args = ("add_con", data.draw(st.sampled_from(_COPY_ROWS)), "delay", data.draw(lin),
+                data.draw(st.sampled_from(["<=", ">=", "="])),
+                data.draw(st.sampled_from([-1.0, 0.0, 1.5])))
+        if op == "prod":
+            args += (data.draw(st.lists(st.tuples(name, st.sampled_from(_COPY_TERMS)), max_size=3)),)
+    elif op == "fix":
+        args = ("fix_var", data.draw(name), data.draw(st.sampled_from([0.0, 1.0, -0.5])))
+    else:
+        args = ("set_objective", data.draw(lin), "max")
+    assert _error(model, *args, **kw) == _error(ref, *args, **kw)
+    return None
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_copies_read_like_copies_of_every_table(data):
+    """``Model.copy`` against copying every table, after each step, for every live model."""
+    pairs = [(Model("miqcp", name="cow"), Model("miqcp", name="cow"))]
+    for _ in range(data.draw(st.integers(1, 12))):
+        pair = _copy_step(data, *data.draw(st.sampled_from(pairs)))
+        if pair is not None:
+            pairs.append(pair)
+        for model, ref in pairs:
+            assert list(model.variables.items()) == list(ref.variables.items())
+            assert list(model.constraints.items()) == list(ref.constraints.items())
+            assert emit_lp(model) == emit_lp(ref)
+            values = data.draw(st.dictionaries(st.sampled_from(_COPY_VARS),
+                                               st.sampled_from(_COPY_VALUES)))
+            dense = _broken(ref.constraints.values(), ref.variables.values(), values)
+            for _ in range(2):  # the second ask of frozen layers reads through an index
+                rows, variables = model.rows_to_check(values), model.vars_to_check(values)
+                assert _in_table_order(rows, model.constraints)
+                assert _in_table_order(variables, model.variables)
+                assert _broken(rows, variables, values) == dense
+
+
 class TestRecords:
     def test_fields_and_defaults_are_kept(self):
         assert Variable._fields == ("name", "role", "binary", "lb", "ub")

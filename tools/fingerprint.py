@@ -37,9 +37,14 @@ digests mean equal results, bit for bit.  Sections:
   permutation 0 with default options: ``perm0-milp-lp``, ``perm0-milp-mps``
   and ``perm0-miqcp-lp``.  Each case has two lines: the emitted text, and
   the file that ``nfvlight build --out`` writes from the saved scenario.
+  Then the LP text (and, of the MILP, the MPS text) of builds made one after
+  another in this process, so that most hit the compile cache: per
+  formulation, path6 permutations 0, 35 and 1, each joint, fixed and joint,
+  and last a copy of a copy of the last build that carries an
+  ``objective_pin`` row.
 
-The run takes about 12-15 seconds on one core of a shared 2-vCPU host
-(Python 3.11), about 4 seconds of it for ``violations`` and 2 seconds for
+The run takes about 20 seconds on one core of a shared 2-vCPU host
+(Python 3.11), about 4 seconds of it for ``violations`` and 8 seconds for
 ``models``.
 """
 from __future__ import annotations
@@ -196,8 +201,13 @@ def violations_section():
                     )
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def models_section():
-    scn = permutation_scenario(builtin_topology("path6"), 0, topology_name="path6")
+    sub = builtin_topology("path6")
+    scn = permutation_scenario(sub, 0, topology_name="path6")
     with tempfile.TemporaryDirectory(prefix="fingerprint.") as td:
         saved = Path(td) / "perm0.json"
         save_scenario(scn, saved)
@@ -206,13 +216,24 @@ def models_section():
             ("perm0-milp-mps", build_milp, emit_mps),
             ("perm0-miqcp-lp", build_miqcp, emit_lp),
         ):
-            yield line(case, hashlib.sha256(emit(build(scn)).encode()).hexdigest())
+            yield line(case, sha256(emit(build(scn))))
             kind, fmt = case.split("-")[1:]
             out = Path(td) / f"{case}.{fmt}"
             code = cli.main(["build", "--scenario", str(saved), "--formulation", kind,
                              "--format", fmt, "--out", str(out)])
             yield line(case, "build --out", code, hashlib.sha256(out.read_bytes()).hexdigest())
             out.unlink()
+    for kind, build, emits in (("miqcp", build_miqcp, (emit_lp,)),
+                               ("milp", build_milp, (emit_lp, emit_mps))):
+        for perm in (0, 35, 1):
+            scn = permutation_scenario(sub, perm, topology_name="path6")
+            for mode in ("joint", "fixed", "joint"):
+                model = build(scn, mode == "fixed")
+                yield line(kind, scn.name, mode, [sha256(emit(model)) for emit in emits])
+        twice = model.copy().copy()
+        terms, _ = twice.objective_parts[min(twice.objective_parts)]
+        twice.add_con("objective_pin_o1", "objective_pin", terms, "=", 1.0)
+        yield line(kind, "a copy of a copy, pinned", [sha256(emit(twice)) for emit in emits])
 
 
 def main() -> int:
