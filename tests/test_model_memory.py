@@ -103,7 +103,7 @@ def test_a_cache_hit_build_holds_only_its_own_rows(path6, perm0, build):
     kept = exact._compiled
     tracemalloc.start()
     try:
-        model = build(perm1)
+        model = build(perm1)  # held while the memory is read
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
